@@ -12,7 +12,10 @@ into a cold one, the heats are
 
 so the efficiency is 1 - n*omega_c/((m+n)*omega_h) regardless of the
 transfer's size.  The transfer itself follows from the block flow-balance
-equations solved here both numerically and in closed form.
+equations.  Each is a two-term recurrence between neighbouring blocks, so
+one O(d) pass over the blocks, closed by a 2x2 system, solves them for a
+whole array of parameter points at once; `delta_p_closed_form` gives the
+same transfer in closed form away from its poles.
 """
 
 from __future__ import annotations
@@ -149,33 +152,64 @@ def _check_boltzmann(value: float, name: str) -> float:
     return value
 
 
-def _flow_system(shape: SimplePermSpec, boltz_hot: float, boltz_cold: float):
-    """Linear system for (populations, transfer): d flow balances plus the
-    normalisation row."""
-    d = shape.d
-    norm = 1.0 / ((1.0 + boltz_hot) * (1.0 + boltz_cold))
-    a = np.zeros((d + 1, d + 1))
-    b = np.zeros(d + 1)
-    for s in range(shape.m):
-        a[s, s] = norm * boltz_hot
-        a[s, s + 1] = -norm
-        a[s, d] = -1.0
-    for t in range(shape.m, d - 1):
-        a[t, t] = norm * boltz_hot
-        a[t, t + 1] = -norm * boltz_cold
-        a[t, d] = -1.0
-    a[d - 1, d - 1] += norm * boltz_hot
-    a[d - 1, 0] += -norm * boltz_cold
-    a[d - 1, d] = -1.0
-    a[d, :d] = 1.0
-    b[d] = 1.0
-    return a, b
+def _solve_flow_balance(
+    shape: SimplePermSpec, boltz_hot: np.ndarray, boltz_cold: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Catalyst populations and block transfer at each point of two 1-d
+    Boltzmann-factor arrays.
+
+    With N = 1/((1 + bh)(1 + bc)) block k balances N*bh*p_k - N*x*p_{k+1} =
+    transfer (p_d = p_0), with x = 1 for the m ground-dropping blocks and
+    x = bc for the n cold-raising ones.  These two-term recurrences give every
+    population as a_k*p_0 + c_k*v, v = transfer/(N*max(bh, bc)); the balance
+    they leave out and the normalisation fix (p_0, v) by Cramer's rule.  The
+    hot segment runs forward from p_0 in powers of bh; the cold segment runs
+    backward from p_0 in powers of bc/bh when bc <= bh and forward from p_m in
+    powers of bh/bc otherwise, so no power or partial sum grows.
+
+    Returns unclipped (populations (count, d), transfer, feasible); feasible
+    means finite with no population below -NEGATIVE_POPULATION_TOL.
+    """
+    bh = np.asarray(boltz_hot, dtype=float)[:, None]
+    bc = np.asarray(boltz_cold, dtype=float)[:, None]
+    m, n = shape.m, shape.n
+    top = np.maximum(bh, bc)
+    backward = bc <= bh
+    zero = np.zeros(bh.shape)  # cumsums from a leading 0 sum the powers below k (j)
+    # hot segment, blocks 0..m: p_k = bh^k p_0 - top*S_k v
+    hot_a = bh ** np.arange(m + 1)
+    hot_c = -top * np.cumsum(np.concatenate([zero, hot_a[:, :-1]], axis=1), axis=1)
+    # cold segment, j = 0..n steps: backward p_{d-j} = r^j p_0 + R_j v,
+    # forward p_{m+j} = r^j p_m - R_j v
+    cold_pow = (np.minimum(bh, bc) / top) ** np.arange(n + 1)
+    cold_sum = np.cumsum(np.concatenate([zero, cold_pow[:, :-1]], axis=1), axis=1)
+    fwd_a = cold_pow * hot_a[:, -1:]
+    fwd_c = cold_pow * hot_c[:, -1:] - cold_sum
+    a = np.concatenate(
+        [hot_a, np.where(backward, cold_pow[:, n - 1 : 0 : -1], fwd_a[:, 1:n])], axis=1
+    )
+    c = np.concatenate(
+        [hot_c, np.where(backward, cold_sum[:, n - 1 : 0 : -1], fwd_c[:, 1:n])], axis=1
+    )
+    # the left-out balance: p_m from both segments (backward), p_d = p_0 (forward)
+    close_a = np.where(backward, hot_a[:, -1:] - cold_pow[:, -1:], fwd_a[:, -1:] - 1.0)
+    close_c = np.where(backward, hot_c[:, -1:] - cold_sum[:, -1:], fwd_c[:, -1:])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = close_a * c.sum(axis=1, keepdims=True) - close_c * a.sum(axis=1, keepdims=True)
+        p_0 = -close_c / det
+        v = close_a / det
+        pops = a * p_0 + c * v
+        transfer = (v * top / ((1.0 + bh) * (1.0 + bc)))[:, 0]
+    # det == 0 leaves p_0 = pops[:, 0] non-finite, so finite pops imply a finite transfer
+    feasible = np.isfinite(pops).all(axis=1) & (pops.min(axis=1) >= -NEGATIVE_POPULATION_TOL)
+    return pops, transfer, feasible
 
 
 def solve_catalyst_state(
     shape: SimplePermSpec, boltz_hot: float, boltz_cold: float
 ) -> CatalystState:
-    """Catalyst state preserved by the simple permutation, by linear solve.
+    """Catalyst state preserved by the simple permutation, from its flow
+    balance equations.
 
     `boltz_hot`/`boltz_cold` are the excited-level Boltzmann factors
     exp(-beta*omega) of the hot and cold qubits.  Populations more negative
@@ -184,62 +218,16 @@ def solve_catalyst_state(
     """
     bh = _check_boltzmann(boltz_hot, "boltz_hot")
     bc = _check_boltzmann(boltz_cold, "boltz_cold")
-    a, b = _flow_system(shape, bh, bc)
-    try:
-        solution = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular flow system") from exc
-    pops = solution[: shape.d]
-    worst = float(pops.min())
-    if worst < -NEGATIVE_POPULATION_TOL:
+    (pops,), (transfer,), (feasible,) = _solve_flow_balance(
+        shape, np.array([bh]), np.array([bc])
+    )
+    if not feasible:
+        if not np.isfinite(pops).all():
+            raise ValueError("singular flow system")
         raise InfeasibleCatalystError(
-            f"infeasible catalyst: solved population {worst:.3e} is negative"
+            f"infeasible catalyst: solved population {pops.min():.3e} is negative"
         )
-    return CatalystState(np.clip(pops, 0.0, None), float(solution[shape.d]))
-
-
-def _solve_catalyst_batch(
-    shape: SimplePermSpec, boltz_hot: np.ndarray, boltz_cold: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised variant of solve_catalyst_state over parameter arrays.
-
-    Returns (populations, transfer, feasible); singular or negative-catalyst
-    points are marked infeasible instead of raising.
-    """
-    bh = np.asarray(boltz_hot, dtype=float)
-    bc = np.asarray(boltz_cold, dtype=float)
-    count = bh.size
-    d = shape.d
-    norm = 1.0 / ((1.0 + bh) * (1.0 + bc))
-    a = np.zeros((count, d + 1, d + 1))
-    b = np.zeros((count, d + 1, 1))
-    for s in range(shape.m):
-        a[:, s, s] = norm * bh
-        a[:, s, s + 1] = -norm
-        a[:, s, d] = -1.0
-    for t in range(shape.m, d - 1):
-        a[:, t, t] = norm * bh
-        a[:, t, t + 1] = -norm * bc
-        a[:, t, d] = -1.0
-    a[:, d - 1, d - 1] += norm * bh
-    a[:, d - 1, 0] += -norm * bc
-    a[:, d - 1, d] = -1.0
-    a[:, d, :d] = 1.0
-    b[:, d, 0] = 1.0
-    feasible = np.ones(count, dtype=bool)
-    try:
-        solution = np.linalg.solve(a, b)[..., 0]
-    except np.linalg.LinAlgError:
-        solution = np.zeros((count, d + 1))
-        for i in range(count):
-            try:
-                solution[i] = np.linalg.solve(a[i], b[i, :, 0])
-            except np.linalg.LinAlgError:
-                feasible[i] = False
-    pops = solution[:, :d]
-    transfer = solution[:, d]
-    feasible &= pops.min(axis=1) >= -NEGATIVE_POPULATION_TOL
-    return np.clip(pops, 0.0, None), transfer, feasible
+    return CatalystState(np.clip(pops, 0.0, None), transfer)
 
 
 def delta_p_closed_form(
@@ -495,8 +483,8 @@ def regime_map(
             catalytic_masks.append(np.zeros(flat_beta.shape, dtype=bool))
             continue
         shape = SimplePermSpec(d - n, n)
-        _, transfer, solvable = _solve_catalyst_batch(shape, boltz_hot, boltz_cold)
-        work = (d * 1.0 - n * flat_freq) * transfer
+        _, transfer, solvable = _solve_flow_balance(shape, boltz_hot, boltz_cold)
+        work = (d * 1.0 - n * flat_freq) * np.where(solvable, transfer, 0.0)
         window = (float(quality) > 1.0) & (float(quality) < exponent_product)
         catalytic_masks.append(window & (work > MODE_TOL) & solvable)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -58,7 +59,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", output)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", output)
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -183,8 +184,8 @@ def resolve_engine(args) -> EngineConfig:
             raise ConfigError(f"missing engine flags: {', '.join(missing)}")
         omega_h, omega_c = args.omega_h, args.omega_c
         beta_h, beta_c = args.beta_h, args.beta_c
-    if omega_h <= 0 or omega_c <= 0:
-        raise ConfigError("level spacings must be positive")
+    if not (0 < omega_h < math.inf and 0 < omega_c < math.inf):
+        raise ConfigError("level spacings must be positive and finite")
     try:
         beta = thermo.InverseTemperaturePair(beta_h, beta_c)
     except ValueError as exc:
@@ -232,9 +233,14 @@ def cmd_report(args) -> int:
         raise ConfigError("choose exactly one of --otto, --simple M,N or --perm IMAGE")
     if isinstance(config.stroke, catalysis.SimplePermSpec):
         shape = config.stroke
-        report, catalyst = catalysis.simple_perm_report(
-            shape, config.omega_h, config.omega_c, config.beta
-        )
+        try:
+            report, catalyst = catalysis.simple_perm_report(
+                shape, config.omega_h, config.omega_c, config.beta
+            )
+        except InfeasibleCatalystError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         payload = {
             "report": _report_dict(report),
             "catalyst": {

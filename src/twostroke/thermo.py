@@ -88,6 +88,8 @@ def _as_probability_vector(values, name: str) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"{name} must be a one-dimensional probability vector")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} has a non-finite entry")
     if p.min(initial=0.0) < -CONSERVATION_TOL:
         raise ValueError(f"{name} has a negative entry ({p.min():.3e})")
     if abs(p.sum() - 1.0) > CONSERVATION_TOL:

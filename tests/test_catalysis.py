@@ -1,11 +1,14 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import twostroke as ts
-from twostroke.catalysis import MAX_REGIME_CATALYST_DIM, _flow_system
+from twostroke import catalysis
+from twostroke.catalysis import MAX_REGIME_CATALYST_DIM
+from twostroke.thermo import MODE_TOL
 
 from conftest import random_regime_tuple
 
@@ -15,6 +18,20 @@ def solved_product_state(shape, omega_h, omega_c, beta):
     hot = ts.gibbs_populations(ts.Spectrum.qubit(omega_h), beta.beta_h)
     cold = ts.gibbs_populations(ts.Spectrum.qubit(omega_c), beta.beta_c)
     return ts.product_state(catalyst.populations, hot, cold), catalyst
+
+
+def flow_residuals(shape, ah, ac, state):
+    """Each block's flow balance N*bh*p_k - N*x*p_{k+1} - transfer, with x = 1
+    for ground-dropping and x = bc for cold-raising blocks (p_d = p_0), then
+    the normalisation."""
+    norm = 1.0 / ((1.0 + ah) * (1.0 + ac))
+    pops = state.populations
+    out = []
+    for k in range(shape.d):
+        x = 1.0 if k < shape.m else ac
+        out.append(norm * ah * pops[k] - norm * x * pops[(k + 1) % shape.d] - state.delta_p)
+    out.append(pops.sum() - 1.0)
+    return np.array(out)
 
 
 class TestSimplePermSpec:
@@ -109,9 +126,7 @@ class TestSolveCatalystState:
             state = ts.solve_catalyst_state(shape, ah, ac)
             assert abs(state.populations.sum() - 1.0) < 1e-9
             assert state.populations.min() >= 0.0
-            matrix, rhs = _flow_system(shape, ah, ac)
-            residual = matrix @ np.concatenate([state.populations, [state.delta_p]]) - rhs
-            assert np.abs(residual).max() < 1e-10
+            assert np.abs(flow_residuals(shape, ah, ac, state)).max() < 1e-10
 
     def test_single_block(self):
         state = ts.solve_catalyst_state(ts.SimplePermSpec(0, 1), 0.5, 0.2)
@@ -128,16 +143,62 @@ class TestSolveCatalystState:
     def test_negative_population_guard(self, monkeypatch):
         # no in-range parameters were found to produce a negative catalyst
         # (randomised sweeps stay nonnegative), so the guard is exercised by
-        # forcing a bad solution through the solver seam
-        def fake_solve(a, b):
-            out = np.zeros(a.shape[0])
-            out[0] = 1.1
-            out[1] = -0.1
-            return out
+        # forcing a bad solution through the flow solver
+        def fake_solve(shape, boltz_hot, boltz_cold):
+            return np.array([[1.1, -0.1]]), np.array([0.0]), np.array([False])
 
-        monkeypatch.setattr(np.linalg, "solve", fake_solve)
+        monkeypatch.setattr(catalysis, "_solve_flow_balance", fake_solve)
         with pytest.raises(ts.InfeasibleCatalystError, match="infeasible catalyst"):
             ts.solve_catalyst_state(ts.SimplePermSpec(1, 1), 0.5, 0.2)
+
+
+class TestFlowBalanceSolver:
+    # the cold segment runs backward from p_0 (bc < bh) or forward from p_m
+    # (bc > bh); bc == bh is the boundary between the two
+    PAIRS = [(0.7, 0.2), (0.3, 0.8), (0.45, 0.45)]
+    SHAPES = [(0, 1), (1, 1), (0, 7), (6, 1), (3, 4), (1999, 1), (0, 2000), (1000, 1000)]
+
+    @staticmethod
+    def solve(shape, boltz_hot, boltz_cold):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return catalysis._solve_flow_balance(
+                shape, np.asarray(boltz_hot, dtype=float), np.asarray(boltz_cold, dtype=float)
+            )
+
+    @pytest.mark.parametrize("ah, ac", PAIRS)
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_balances_and_closed_form(self, m, n, ah, ac):
+        shape = ts.SimplePermSpec(m, n)
+        pops, transfer, feasible = self.solve(shape, [ah], [ac])
+        assert pops.shape == (1, shape.d) and transfer.shape == (1,)
+        assert feasible[0]
+        assert np.isfinite(pops).all() and np.isfinite(transfer).all()
+        assert pops.min() >= 0.0
+        assert abs(pops.sum() - 1.0) < 1e-12
+        state = ts.CatalystState(pops[0], transfer[0])
+        assert np.abs(flow_residuals(shape, ah, ac, state)).max() < 1e-12
+        if ah != ac:  # the closed form's pole
+            assert abs(transfer[0] - ts.delta_p_closed_form(shape, ah, ac)) <= 1e-12
+
+    def test_batch_mixes_directions(self):
+        shape = ts.SimplePermSpec(4, 3)
+        hot, cold = zip(*self.PAIRS)
+        pops, transfer, feasible = self.solve(shape, hot, cold)
+        for k, (ah, ac) in enumerate(self.PAIRS):
+            one_pops, one_transfer, one_feasible = self.solve(shape, [ah], [ac])
+            assert np.array_equal(pops[k], one_pops[0])
+            assert transfer[k] == one_transfer[0] and feasible[k] == one_feasible[0]
+
+    def test_work_curve_at_dimension_2000(self):
+        rows = ts.fig_work_vs_cold_swaps(2000, 0.25, 8, 0.7)
+        boltz_hot = math.exp(-0.25)
+        boltz_cold = math.exp(-0.25 * 8 / 0.7 * 0.7)
+        for n in (1, 2, 7, 100, 249, 250, 251, 600, 1500, 1999, 2000):
+            shape = ts.SimplePermSpec(2000 - n, n)
+            expected = (2000 - n * 0.7) * ts.delta_p_closed_form(shape, boltz_hot, boltz_cold)
+            assert rows[n - 1][0] == n
+            assert abs(rows[n - 1][1] - expected) <= 1e-12
 
 
 class TestClosedFormTransfer:
@@ -368,6 +429,29 @@ class TestRegimeMap:
         assert not any(
             r.feasible for r in chart.rows if r.region_label == "catalytic"
         )
+
+    def test_catalytic_flags_match_scalar_reports(self):
+        qualities = [Fraction(q) for q in ("5/3", "2.2", "4", "63/2")]
+        chart = ts.regime_map(qualities, (1.01, 40.0), (0.05, 2.5), 25)
+        per_point = 2 + len(qualities)
+        rng = np.random.default_rng(63)
+        for k, quality in enumerate(qualities):
+            inside = [
+                row
+                for row in chart.rows[2 + k :: per_point]
+                if 1.0 < quality < row.beta_ratio * row.freq_ratio
+            ]
+            assert all(row.d_over_n == f"{quality.numerator}/{quality.denominator}" for row in inside)
+            shape = ts.SimplePermSpec(quality.numerator - quality.denominator, quality.denominator)
+            for pick in rng.choice(len(inside), size=5, replace=False):
+                row = inside[pick]
+                beta = ts.InverseTemperaturePair(1.0, row.beta_ratio)
+                try:
+                    report, _ = ts.simple_perm_report(shape, 1.0, row.freq_ratio, beta)
+                    expected = report.work > MODE_TOL
+                except ts.InfeasibleCatalystError:
+                    expected = False
+                assert row.feasible == expected
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):

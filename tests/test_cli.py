@@ -103,6 +103,24 @@ class TestConfigValidation:
         assert code == 2
         assert "freq-ratio" in err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--omega-h", "inf"),
+            ("--omega-h", "nan"),
+            # the cold Boltzmann factor underflows to 0 and is rejected
+            ("--beta-c", "1e308"),
+        ],
+    )
+    def test_out_of_range_report_exits_cleanly(self, capsys, flag, value):
+        params = {"--beta-h": "6", "--beta-c": "7", "--omega-h": "2", "--omega-c": "3"}
+        params[flag] = value
+        argv = [item for pair in params.items() for item in pair]
+        code, out, err = run_cli(capsys, "report", *argv, "--simple", "2,3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_mixed_forms_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -301,6 +319,18 @@ class TestLpBound:
             "--catalyst-dim", "2", "--catalyst-populations", "1.0",
         )
         assert code == 2
+
+
+    def test_non_finite_catalyst_populations(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", "1", "--beta-c", "3",
+            "--omega-h", "1", "--omega-c", "0.5",
+            "--catalyst-dim", "2", "--catalyst-populations", "nan,nan",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestCoherenceCheck:

@@ -118,6 +118,11 @@ class TestPopulationVector:
         with pytest.raises(ValueError):
             ts.PopulationVector(np.array([1.1, -0.1]), (1, 2, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            ts.PopulationVector(np.array([bad, 1.0]), (1, 2, 1))
+
     def test_tiny_negative_clipped(self):
         state = ts.PopulationVector(np.array([1.0, 1e-14, -1e-14]), (1, 3, 1))
         assert state.probs.min() == 0.0
