@@ -6,7 +6,7 @@ float is rendered with 12 significant digits so emitted files are stable
 byte-for-byte across runs and platforms.
 
 Exit codes: 0 success, 2 configuration error, 3 infeasible catalyst or no
-engine regime, 4 sweep/decomposition guard exceeded.
+engine regime, 4 size or iteration guard exceeded.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ def cmd_lp_bound(args) -> int:
         entry["weight"] = round12(entry["weight"])
     payload["residuals"] = {k: round12(v) for k, v in payload["residuals"].items()}
     _emit_json(payload, args.output)
-    return 4 if solution.status == lp.GUARD_EXCEEDED else 0
+    return 0
 
 
 def cmd_coherence_check(args) -> int:

@@ -14,7 +14,7 @@ class CyclicityError(EngineError, ValueError):
 
 
 class GuardExceededError(EngineError, ValueError):
-    """A factorial-size sweep or decomposition guard was exceeded."""
+    """A size guard or the simplex iteration limit was exceeded."""
 
 
 class InfeasibleCatalystError(EngineError, ValueError):

@@ -1,11 +1,14 @@
 """Linear-programming upper bound on catalytic work extraction.
 
-Over bistochastic strokes, work is linear, so the best bistochastic stroke
-that preserves the catalyst marginal is a linear program in permutation
-coordinates: maximise sum_m alpha_m * w_m over convex weights alpha subject
-to the catalyst block sums staying fixed.  Its value bounds from above the
-work of any single catalyst-preserving permutation, and relaxes the harder
-question of which bistochastic matrices arise from actual unitaries.
+B[i, j] is the share of the population of level j that a bistochastic stroke
+sends to level i.  Work and catalyst block sums are linear in B, so the best
+catalyst-preserving bistochastic stroke is one linear program over the n*n
+entries of B.  By Birkhoff--von Neumann it equals the program over convex
+weights of the n! permutations (`build_work_bound_problem`, kept as the test
+reference), and the optimal B is decomposed back into permutation weights.
+The value bounds the work of any single catalyst-preserving permutation from
+above, and relaxes the harder question of which bistochastic matrices arise
+from actual unitaries.
 """
 
 from __future__ import annotations
@@ -15,19 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simplex
-from .catalysis import SimplePermSpec, build_simple_perm
-from .permutations import PermutationMap, images_array
+from .birkhoff import birkhoff_decompose
+from .errors import GuardExceededError
+from .permutations import PermutationMap
 from .thermo import PopulationVector, Spectrum
 
-MAX_EXACT_DIMENSION = 8
+MAX_DIMENSION = 32
 SIGNATURE_DECIMALS = 12
-WEIGHT_TOL = 1e-12
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-GUARD_EXCEEDED = "guard_exceeded"
-
-RESTRICTED_NOTE = "restricted-column (not a valid upper bound)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,18 +43,46 @@ class WorkBoundProblem:
 
 
 @dataclass(frozen=True, eq=False)
+class BistochasticProgram:
+    """Maximise work . B subject to constraints @ B = rhs and B >= 0, over
+    the entries of B flattened row-major.
+
+    Rows: the n row sums, the first n-1 column sums and the first d_s-1
+    catalyst block sums of B p.  The last column sum and the last block sum
+    follow from the others, so they are left out.
+    """
+
+    work: np.ndarray         # (n, n) objective W[i, j] = (E_j - E_i) p_j
+    constraints: np.ndarray  # (2n - 1 + d_s - 1, n*n)
+    rhs: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class LPSolution:
-    """Primal weights, dual certificate and value of the work-bound program."""
+    """Primal weights, dual certificate and value of the work-bound program.
+
+    `multipliers` holds one dual value per program row: the row potentials
+    u, the column potentials v and the block multipliers x.
+    """
 
     value: float
     alphas: dict[PermutationMap, float]
-    dual_y: float
-    dual_x: tuple[float, ...]
     status: str
-    note: str | None
     residuals: dict[str, float]
-    problem: WorkBoundProblem = field(repr=False)
+    program: BistochasticProgram = field(repr=False)
+    multipliers: np.ndarray = field(repr=False)
     basis: tuple[int, ...] = field(repr=False)
+
+    @property
+    def dual_y(self) -> float:
+        """Sum of the row and column potentials (the normalisation multiplier)."""
+        return float(self.multipliers[: 2 * self.program.work.shape[0] - 1].sum())
+
+    @property
+    def dual_x(self) -> tuple[float, ...]:
+        """Multipliers of the first d_s-1 catalyst block sums."""
+        n = self.program.work.shape[0]
+        return tuple(float(v) for v in self.multipliers[2 * n - 1 :])
 
     def to_dict(self) -> dict:
         alphas = sorted(
@@ -66,40 +91,13 @@ class LPSolution:
         return {
             "value": self.value,
             "status": self.status,
-            "note": self.note,
+            "note": None,
             "alphas": [
                 {"image": list(perm.image), "weight": weight} for perm, weight in alphas
             ],
             "dual": {"y": self.dual_y, "x": list(self.dual_x)},
             "residuals": dict(self.residuals),
         }
-
-
-def _column_data(
-    energies: np.ndarray, probs: np.ndarray, images: np.ndarray, catalyst_dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Work and catalyst block sums for each permutation column."""
-    count, dim = images.shape
-    block_of = np.arange(dim) // (dim // catalyst_dim)
-    work = energies @ probs - (energies[images] * probs).sum(axis=1)
-    marginals = np.zeros((count, catalyst_dim))
-    destination_blocks = block_of[images]
-    np.add.at(
-        marginals,
-        (np.repeat(np.arange(count), dim), destination_blocks.reshape(-1)),
-        np.tile(probs, count),
-    )
-    return work, marginals
-
-
-def _restricted_images(dim: int, catalyst_dim: int) -> np.ndarray:
-    """Identity plus every simple permutation, for bodies too big to sweep."""
-    rows = [list(range(dim))]
-    if dim == 4 * catalyst_dim:
-        for n in range(1, catalyst_dim + 1):
-            perm = build_simple_perm(SimplePermSpec(catalyst_dim - n, n))
-            rows.append(list(perm.image))
-    return np.array(rows, dtype=np.int64)
 
 
 def build_work_bound_problem(
@@ -111,26 +109,45 @@ def build_work_bound_problem(
     """Assemble and deduplicate the permutation columns of the program.
 
     The representative of each signature class is the first permutation in
-    image order, which keeps the reported weights deterministic.
+    image order, which keeps the column order deterministic.
     """
     energies = hamiltonian.energies()
     probs = initial.probs
-    work, marginals = _column_data(energies, probs, images, catalyst_dim)
+    dim = images.shape[1]
+    block_of = np.arange(dim) // (dim // catalyst_dim)
+    work = energies @ probs - energies[images] @ probs
+    marginals = probs @ np.eye(catalyst_dim)[block_of[images]]
     signature = np.round(np.column_stack([work, marginals]), SIGNATURE_DECIMALS)
-    _, inverse = np.unique(signature, axis=0, return_inverse=True)
-    tally = np.bincount(inverse)
-    first_index: dict[int, int] = {}
-    for row_index, class_index in enumerate(inverse):
-        first_index.setdefault(int(class_index), row_index)
-    keep = np.array(sorted(first_index.values()), dtype=np.int64)
-    class_sizes = np.array([tally[int(inverse[row])] for row in keep], dtype=np.int64)
+    _, first, counts = np.unique(
+        signature, axis=0, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    keep = first[order]
     return WorkBoundProblem(
         images=images[keep],
         work=work[keep],
         marginals=marginals[keep],
         target=initial.catalyst_marginal(),
-        class_sizes=class_sizes,
+        class_sizes=counts[order],
     )
+
+
+def _bistochastic_program(
+    hamiltonian: Spectrum, initial: PopulationVector, catalyst_dim: int
+) -> BistochasticProgram:
+    energies = hamiltonian.energies()
+    probs = initial.probs
+    n = probs.size
+    eye = np.eye(n)
+    block_rows = np.repeat(np.eye(catalyst_dim), n // catalyst_dim, axis=1)
+    constraints = np.vstack([
+        np.kron(eye, np.ones(n)),
+        np.kron(np.ones(n), eye)[: n - 1],
+        np.kron(block_rows, probs)[: catalyst_dim - 1],
+    ])
+    rhs = np.concatenate([np.ones(2 * n - 1), initial.catalyst_marginal()[:-1]])
+    work = (energies[None, :] - energies[:, None]) * probs[None, :]
+    return BistochasticProgram(work, constraints, rhs)
 
 
 def lp_work_upper_bound(
@@ -140,11 +157,9 @@ def lp_work_upper_bound(
 ) -> LPSolution:
     """Best work over catalyst-preserving bistochastic strokes.
 
-    Exact for working bodies of dimension at most 8 (every permutation is a
-    column).  Larger bodies fall back to identity-plus-simple-permutation
-    columns and are flagged guard_exceeded: a maximum over a restricted
-    column set can only underestimate the relaxation, so the fallback value
-    is not a valid upper bound and says so in `note`.
+    Exact for working bodies of dimension up to MAX_DIMENSION; larger bodies
+    raise GuardExceededError.  `alphas` is a convex decomposition of the
+    optimal B into permutations.
     """
     catalyst_dim = int(catalyst_dim)
     if catalyst_dim != initial.basis_shape[0]:
@@ -154,73 +169,51 @@ def lp_work_upper_bound(
         )
     if hamiltonian.dimension != initial.dimension:
         raise ValueError("spectrum does not match the state dimension")
-    dim = initial.dimension
-    if dim <= MAX_EXACT_DIMENSION:
-        images = images_array(dim)
-        status = OPTIMAL
-        note = None
-    else:
-        images = _restricted_images(dim, catalyst_dim)
-        status = GUARD_EXCEEDED
-        note = RESTRICTED_NOTE
-    problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, images)
-
-    # The block-sum constraints sum to the normalisation row, so the last
-    # one is dropped; its dual multiplier is implicitly zero.
-    rows = [np.ones(problem.work.size)]
-    rhs = [1.0]
-    for k in range(catalyst_dim - 1):
-        rows.append(problem.marginals[:, k])
-        rhs.append(problem.target[k])
-    result = simplex.simplex_solve(problem.work, np.array(rows), np.array(rhs))
+    n = initial.dimension
+    if n > MAX_DIMENSION:
+        raise GuardExceededError(f"LP dimension {n} exceeds the cap {MAX_DIMENSION}")
+    program = _bistochastic_program(hamiltonian, initial, catalyst_dim)
+    result = simplex.simplex_solve(
+        program.work.reshape(-1), program.constraints, program.rhs
+    )
     if result.status != simplex.OPTIMAL:
         return LPSolution(
-            0.0, {}, 0.0, (0.0,) * (catalyst_dim - 1), INFEASIBLE, note,
-            {}, problem, (),
+            0.0, {}, simplex.INFEASIBLE, {}, program,
+            np.zeros(program.rhs.size), (),
         )
-    weights = result.x
-    alphas = {
-        PermutationMap(tuple(problem.images[j])): float(weights[j])
-        for j in np.flatnonzero(weights > WEIGHT_TOL)
-    }
-    dual_y = float(result.dual[0])
-    dual_x = tuple(float(v) for v in result.dual[1:])
-    mix_marginal = problem.marginals.T @ weights
+    matrix = result.x.reshape(n, n)
+    # no permutation repeats: each term zeroes one entry of its own support
+    alphas = {perm: weight for weight, perm in birkhoff_decompose(matrix)}
+    block_sums = (matrix @ initial.probs).reshape(catalyst_dim, -1).sum(axis=1)
     residuals = {
-        "primal_marginal_max": float(np.abs(mix_marginal - problem.target).max()),
-        "weight_sum_error": float(abs(weights.sum() - 1.0)),
+        "primal_marginal_max": float(
+            np.abs(block_sums - initial.catalyst_marginal()).max()
+        ),
+        "weight_sum_error": float(abs(sum(alphas.values()) - 1.0)),
     }
     solution = LPSolution(
         float(result.value),
         alphas,
-        dual_y,
-        dual_x,
-        status,
-        note,
+        simplex.OPTIMAL,
         residuals,
-        problem,
+        program,
+        result.dual,
         tuple(int(b) for b in result.basis),
     )
-    gap_and_slack = lp_dual_check(solution)
-    residuals["dual_max_violation"] = gap_and_slack
+    residuals["dual_max_violation"] = lp_dual_check(solution)
     return solution
 
 
-def lp_dual_check(solution: LPSolution, problem: WorkBoundProblem | None = None) -> float:
+def lp_dual_check(solution: LPSolution) -> float:
     """Largest violation of the dual certificate.
 
-    Checks dual feasibility (y >= w_m - sum_k a_m^k x_k for every column m,
-    with the dropped last block constraint carrying multiplier zero) and the
-    strong-duality gap between y + sum_k a^k x_k and the primal value.
+    Checks dual feasibility, u_i + v_j + x_block(i) * p_j >= W[i, j] for
+    every entry of B (the left-out last column and block rows carry
+    multiplier zero), and the strong-duality gap between the dual objective
+    y + sum_k t_k x_k and the primal value.
     """
-    prob = problem if problem is not None else solution.problem
-    x = np.asarray(solution.dual_x, dtype=float)
-    slack = (
-        prob.work
-        - prob.marginals[:, : x.size] @ x
-        - solution.dual_y
-    )
-    dual_objective = solution.dual_y + float(prob.target[: x.size] @ x)
-    gap = abs(dual_objective - solution.value)
-    worst_slack = float(slack.max(initial=0.0))
-    return max(worst_slack, gap)
+    program = solution.program
+    multipliers = solution.multipliers
+    slack = program.work.reshape(-1) - multipliers @ program.constraints
+    gap = abs(float(multipliers @ program.rhs) - solution.value)
+    return max(float(slack.max(initial=0.0)), gap)

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GuardExceededError
+
 PIVOT_TOL = 1e-9
 RATIO_TIE_TOL = 1e-12
 
@@ -48,7 +50,7 @@ def _iterate(
     iterations = 0
     while True:
         if iterations > max_iterations:
-            raise RuntimeError("simplex iteration limit exceeded")
+            raise GuardExceededError("simplex iteration limit exceeded")
         base = columns[:, basis]
         multipliers = np.linalg.solve(base.T, objective[basis])
         reduced = objective - multipliers @ columns

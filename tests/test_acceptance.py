@@ -10,6 +10,8 @@ import time
 import numpy as np
 
 import twostroke as ts
+from twostroke import lp
+from twostroke.permutations import images_array
 
 from conftest import random_mixture_matrix
 
@@ -314,9 +316,14 @@ def test_criterion_8_lp_suite():
         solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
         assert solution.status == "optimal"
         assert ts.lp_dual_check(solution) <= 1e-8
-        problem = solution.problem
+        problem = lp.build_work_bound_problem(
+            hamiltonian, initial, d_s, images_array(initial.dimension)
+        )
         preserving = np.abs(problem.marginals - problem.target).max(axis=1) <= 1e-12
         assert solution.value >= problem.work[preserving].max() - 1e-10
+        x = np.asarray(solution.dual_x)
+        dual_slack = problem.work - problem.marginals[:, : x.size] @ x - solution.dual_y
+        assert dual_slack.max() <= 1e-9
         assert solution.value >= -1e-12
         if d_s == 1:
             assert abs(

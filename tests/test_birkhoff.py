@@ -45,6 +45,16 @@ class TestBirkhoffDecompose:
         assert weight == pytest.approx(1.0, abs=1e-12)
         assert perm.image == (0, 1, 2, 3)
 
+    def test_noise_within_tolerance(self):
+        # the optimum of a simplex solve: a permutation matrix with two
+        # entries 1e-12 above 1, accepted since its sums are within 1e-10
+        matrix = np.eye(8)[:, [0, 2, 1, 3, 4, 6, 5, 7]]
+        matrix[3, 3] += 1.138e-12
+        matrix[6, 5] += 1.138e-12
+        terms = ts.birkhoff_decompose(matrix)
+        assert [(w, p.image) for w, p in terms] == [(1.0, (0, 2, 1, 3, 4, 6, 5, 7))]
+        assert np.abs(reconstruction(terms, 8) - matrix).max() <= 1e-10
+
     def test_half_and_half(self):
         matrix = 0.5 * np.eye(2) + 0.5 * np.array([[0.0, 1.0], [1.0, 0.0]])
         terms = ts.birkhoff_decompose(matrix)

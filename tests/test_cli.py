@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import twostroke as ts
+from twostroke import simplex
 from twostroke.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -301,15 +302,29 @@ class TestLpBound:
         assert len(payload["dual"]["x"]) == 1
 
     def test_guard_exit_code(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys,
             "lp-bound", "--beta-h", "1", "--beta-c", "3",
-            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "3",
+            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "9",
         )
         assert code == 4
-        payload = json.loads(out)
-        assert payload["status"] == "guard_exceeded"
-        assert "not a valid upper bound" in payload["note"]
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    def test_iteration_limit_exit_code(self, capsys, monkeypatch):
+        solve = simplex.simplex_solve
+        monkeypatch.setattr(
+            simplex, "simplex_solve",
+            lambda *args: solve(*args, max_iterations=5),
+        )
+        code, out, err = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", "1", "--beta-c", "3",
+            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "2",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: simplex iteration limit exceeded\n"
 
     def test_population_length_mismatch(self, capsys):
         code, _, err = run_cli(

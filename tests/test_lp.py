@@ -5,6 +5,8 @@ import pytest
 from scipy.optimize import linprog
 
 import twostroke as ts
+from twostroke import lp
+from twostroke.permutations import images_array
 
 
 def random_instance(rng, dims=(2, 2, 2)):
@@ -24,6 +26,13 @@ def random_instance(rng, dims=(2, 2, 2)):
     return hamiltonian, initial, d_s, beta
 
 
+def permutation_problem(hamiltonian, initial, d_s):
+    """The same program in permutation coordinates: one column per class of
+    the n! permutations."""
+    images = images_array(initial.dimension)
+    return lp.build_work_bound_problem(hamiltonian, initial, d_s, images)
+
+
 def scipy_value(problem):
     rows = [np.ones(problem.work.size)]
     rhs = [1.0]
@@ -41,6 +50,13 @@ def scipy_value(problem):
 def best_single_catalyst_preserving(problem):
     keeps = np.abs(problem.marginals - problem.target).max(axis=1) <= 1e-12
     return float(problem.work[keeps].max())
+
+
+def assert_dual_feasible_for_permutations(solution, problem):
+    """(y, x) bounds every permutation column: y >= w_m - a_m . x."""
+    x = np.asarray(solution.dual_x)
+    slack = problem.work - problem.marginals[:, : x.size] @ x - solution.dual_y
+    assert slack.max() <= 1e-9
 
 
 class TestTrivialCatalyst:
@@ -92,14 +108,32 @@ class TestCatalyticBound:
         for dims in ((2, 2, 2), (1, 2, 4), (2, 2, 2)):
             hamiltonian, initial, d_s, _ = random_instance(rng, dims)
             solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
+            problem = permutation_problem(hamiltonian, initial, d_s)
             assert solution.value >= -1e-12
-            assert solution.value >= best_single_catalyst_preserving(solution.problem) - 1e-10
+            assert solution.value >= best_single_catalyst_preserving(problem) - 1e-10
+            assert_dual_feasible_for_permutations(solution, problem)
 
     def test_matches_scipy(self, rng):
         for dims in ((1, 2, 2), (2, 2, 2), (1, 2, 3), (1, 3, 2)):
             hamiltonian, initial, d_s, _ = random_instance(rng, dims)
             solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
-            assert solution.value == pytest.approx(scipy_value(solution.problem), abs=1e-9)
+            problem = permutation_problem(hamiltonian, initial, d_s)
+            assert solution.value == pytest.approx(scipy_value(problem), abs=1e-9)
+            assert_dual_feasible_for_permutations(solution, problem)
+
+    def test_decomposes_optimum_with_rounding_noise(self):
+        # this optimum comes out of the simplex 1.1e-12 off a permutation
+        beta = ts.InverseTemperaturePair(1.0, 3.5158852056317924)
+        hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5598645854362162)
+        initial = ts.product_state(
+            [0.7322523363411584, 1.0 - 0.7322523363411584],
+            ts.gibbs_populations(hot, beta.beta_h),
+            ts.gibbs_populations(cold, beta.beta_c),
+        )
+        hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(2), hot, cold)
+        solution = ts.lp_work_upper_bound(hamiltonian, initial, 2)
+        assert solution.status == "optimal"
+        assert max(solution.residuals.values()) <= 1e-9
 
     def test_duality_gap(self, rng):
         for _ in range(10):
@@ -142,7 +176,8 @@ class TestCatalyticBound:
     def test_dual_perturbation_respects_weak_duality(self, rng):
         hamiltonian, initial, d_s, _ = random_instance(rng, (2, 2, 2))
         solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
-        problem = solution.problem
+        problem = permutation_problem(hamiltonian, initial, d_s)
+        assert_dual_feasible_for_permutations(solution, problem)
         x = np.asarray(solution.dual_x) + 0.1
         y = float((problem.work - problem.marginals[:, : x.size] @ x).max())
         perturbed_objective = y + float(problem.target[: x.size] @ x)
@@ -163,48 +198,34 @@ def _cold_spectrum(hamiltonian, state):
 
 class TestVertexReconstruction:
     def test_nondegenerate_optimum_inverts(self, rng):
-        # at a nondegenerate vertex the basic weights follow from the basis
-        # matrix alone: alpha_B = inverse(A)^T a with A = [1; block sums]
-        verified = 0
-        for _ in range(150):
-            if verified >= 5:
-                break
+        # the basis columns A_B of the B-coordinate program alone give the
+        # optimal entries, B_B = inverse(A_B) b with every other entry zero,
+        # and the dual point, (u, v, x) = inverse(A_B)^T W_B.  No vertex has
+        # to be skipped: B has few nonzeros, so the inversion must not rely
+        # on a nondegenerate vertex.
+        for _ in range(4):
             hamiltonian, initial, d_s, _ = random_instance(rng, (2, 2, 2))
             solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
-            problem = solution.problem
+            program = solution.program
+            n = initial.dimension
             basis = list(solution.basis)
-            if len(basis) != d_s:
-                continue
-            weights = np.zeros(problem.work.size)
+            assert len(basis) == program.rhs.size  # no row was redundant
+            a_basis = program.constraints[:, basis]
+            entries = np.zeros(n * n)
+            entries[basis] = np.linalg.solve(a_basis, program.rhs)
+            mixture = np.zeros((n, n))
             for perm, weight in solution.alphas.items():
-                matches = [
-                    j
-                    for j in range(problem.images.shape[0])
-                    if tuple(problem.images[j]) == perm.image
-                ]
-                weights[matches[0]] = weight
-            if any(weights[j] < 1e-6 for j in basis):
-                continue  # degenerate vertex
-            x = np.asarray(solution.dual_x)
-            slack = problem.work - problem.marginals[:, : x.size] @ x - solution.dual_y
-            nonbasic = [j for j in range(problem.work.size) if j not in basis]
-            if nonbasic and max(slack[j] for j in nonbasic) > -1e-9:
-                continue  # optimum not unique enough to invert
-            a_matrix = np.column_stack(
-                [np.ones(len(basis)), problem.marginals[basis, : d_s - 1]]
-            )
-            a_vector = np.concatenate([[1.0], problem.target[: d_s - 1]])
-            alpha = np.linalg.solve(a_matrix.T, a_vector)
-            assert np.abs(alpha - weights[basis]).max() < 1e-8
-            # the same basis matrix also reproduces the dual point
-            dual_point = np.linalg.solve(a_matrix, problem.work[basis])
-            assert dual_point[0] == pytest.approx(solution.dual_y, abs=1e-8)
-            verified += 1
-        assert verified >= 3
+                mixture[list(perm.image), range(n)] += weight
+            assert np.abs(entries - mixture.reshape(-1)).max() < 1e-8
+            dual_point = np.linalg.solve(a_basis.T, program.work.reshape(-1)[basis])
+            assert dual_point[: 2 * n - 1].sum() == pytest.approx(solution.dual_y, abs=1e-8)
+            assert np.abs(dual_point[2 * n - 1 :] - solution.dual_x).max() < 1e-8
 
 
 class TestGuardFallback:
     def test_restricted_columns_flagged(self):
+        # dimension 12, beyond the reach of the n! permutation columns, is
+        # solved exactly and bounds the (2, 1) stroke its catalyst is seeded for
         beta = ts.InverseTemperaturePair(1.0, 6.0)
         hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.8)
         state = ts.solve_catalyst_state(
@@ -217,11 +238,23 @@ class TestGuardFallback:
         )
         hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(3), hot, cold)
         solution = ts.lp_work_upper_bound(hamiltonian, initial, 3)
-        assert solution.status == "guard_exceeded"
-        assert "not a valid upper bound" in solution.note
-        identity = ts.PermutationMap.identity(12)
-        assert any(np.array_equal(row, identity.image) for row in solution.problem.images)
+        simple, _ = ts.simple_perm_report(ts.SimplePermSpec(2, 1), 1.0, 0.8, beta)
+        assert solution.status == "optimal"
+        assert solution.to_dict()["note"] is None
+        assert solution.value >= simple.work - 1e-12
         assert ts.lp_dual_check(solution) <= 1e-8
+
+    def test_dimension_cap(self):
+        beta = ts.InverseTemperaturePair(1.0, 3.0)
+        hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5)
+        initial = ts.product_state(
+            [1.0 / 9] * 9,
+            ts.gibbs_populations(hot, beta.beta_h),
+            ts.gibbs_populations(cold, beta.beta_c),
+        )
+        hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(9), hot, cold)
+        with pytest.raises(ts.GuardExceededError, match="exceeds the cap 32"):
+            ts.lp_work_upper_bound(hamiltonian, initial, 9)
 
     def test_shape_mismatch_rejected(self):
         hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5)
@@ -246,3 +279,76 @@ class TestSerialisation:
         assert set(data["dual"]) == {"y", "x"}
         assert len(data["dual"]["x"]) == d_s - 1
         assert abs(sum(e["weight"] for e in data["alphas"]) - 1.0) < 1e-9
+
+
+class TestPermutationReference:
+    def test_class_sizes_and_first_representatives(self, rng):
+        # reference: the signature classes in a Python loop over image order.
+        # The uniform catalyst repeats every (energy, population) pair, so
+        # permutations merge into classes larger than one.
+        bodies = [
+            (*random_instance(rng, (1, 2, 2))[:2], 1),
+            (*qubit_body([0.5, 0.5], 0.6, ts.InverseTemperaturePair(1.0, 3.0)), 2),
+        ]
+        for hamiltonian, initial, d_s in bodies:
+            images = images_array(initial.dimension)
+            problem = lp.build_work_bound_problem(hamiltonian, initial, d_s, images)
+            # the signature in the arithmetic of build_work_bound_problem, so
+            # that rounding at the 12th decimal splits the classes the same way
+            energies, probs = hamiltonian.energies(), initial.probs
+            block_of = np.arange(initial.dimension) // (initial.dimension // d_s)
+            work = energies @ probs - energies[images] @ probs
+            marginals = probs @ np.eye(d_s)[block_of[images]]
+            signature = np.round(
+                np.column_stack([work, marginals]), lp.SIGNATURE_DECIMALS
+            )
+            first: dict[tuple, int] = {}
+            sizes: dict[tuple, int] = {}
+            for index, row in enumerate(map(tuple, signature)):
+                first.setdefault(row, index)
+                sizes[row] = sizes.get(row, 0) + 1
+            keep = sorted(first.values())
+            assert problem.class_sizes.sum() == math.factorial(initial.dimension)
+            np.testing.assert_array_equal(problem.images, images[keep])
+            assert list(problem.class_sizes) == [
+                sizes[tuple(signature[index])] for index in keep
+            ]
+        assert problem.class_sizes.max() > 1
+
+
+def qubit_body(catalyst, omega_c, beta):
+    hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(omega_c)
+    initial = ts.product_state(
+        catalyst,
+        ts.gibbs_populations(hot, beta.beta_h),
+        ts.gibbs_populations(cold, beta.beta_c),
+    )
+    hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(len(catalyst)), hot, cold)
+    return hamiltonian, initial
+
+
+class TestBareErgotropy:
+    def test_uniform_catalyst_gives_bare_ergotropy(self, rng):
+        # each population of tau_h x tau_c appears d_s times on repeated
+        # energies, so even without the catalyst rows no bistochastic stroke
+        # beats the bare ergotropy, and identity x best permutation reaches it
+        for d_s in range(1, 5):
+            for _ in range(2):
+                omega_c = float(rng.uniform(0.3, 0.9))
+                beta_h = float(rng.uniform(0.5, 1.5))
+                beta = ts.InverseTemperaturePair(
+                    beta_h, beta_h * float(rng.uniform(1.5, 4.0)) / omega_c
+                )
+                hamiltonian, initial = qubit_body([1.0 / d_s] * d_s, omega_c, beta)
+                bare_hamiltonian, bare = qubit_body([1.0], omega_c, beta)
+                ergotropy = ts.ergotropy(bare.probs, bare_hamiltonian)
+                assert ergotropy > 1e-3
+                solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
+                assert solution.value == pytest.approx(ergotropy, abs=1e-10)
+
+    def test_non_uniform_catalyst_can_exceed_it(self):
+        beta = ts.InverseTemperaturePair(0.5, 4.0)
+        hamiltonian, initial = qubit_body([0.7, 0.3], 0.8, beta)
+        bare_hamiltonian, bare = qubit_body([1.0], 0.8, beta)
+        solution = ts.lp_work_upper_bound(hamiltonian, initial, 2)
+        assert solution.value > ts.ergotropy(bare.probs, bare_hamiltonian) + 0.04
