@@ -414,19 +414,18 @@ def _as_quality(value) -> Fraction:
     return quality
 
 
-@dataclass(frozen=True)
-class RegimeMapRow:
-    beta_ratio: float
-    freq_ratio: float
-    d_over_n: str
-    feasible: bool
-    region_label: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegimeMap:
-    header: tuple[str, ...]
-    rows: tuple[RegimeMapRow, ...]
+    """Region flags over a grid of beta_c/beta_h and omega_c/omega_h values.
+
+    `regions` holds (d_over_n label, region label, flags) entries: carnot,
+    otto, then one catalytic entry per requested d/n; each flags array is
+    boolean and indexed [beta, freq].
+    """
+
+    beta_ratios: np.ndarray
+    freq_ratios: np.ndarray
+    regions: tuple[tuple[str, str, np.ndarray], ...]
 
 
 def regime_map(
@@ -437,19 +436,22 @@ def regime_map(
 ) -> RegimeMap:
     """Feasibility grid over the bath-temperature and level-spacing ratios.
 
-    Every grid point carries one row per region: 'carnot' marks where any
+    Every grid point carries one flag per region: 'carnot' marks where any
     engine at all can run (beta_c*omega_c > beta_h*omega_h), 'otto' where the
-    bare hot-cold swap runs without a catalyst, and one 'catalytic' row per
+    bare hot-cold swap runs without a catalyst, and one 'catalytic' flag per
     requested d/n where the simple permutation realising that ratio (in
     lowest terms) produces positive work with a valid catalyst.  Grid points
     are evaluated at beta_h = omega_h = 1; feasibility only depends on the
-    two plotted ratios.
+    two plotted ratios.  Range ends must be finite, so every grid value is;
+    a non-finite end raises ValueError, which the CLI reports with exit 2.
     """
     resolution = int(resolution)
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     beta_lo, beta_hi = (float(v) for v in beta_ratio_range)
     freq_lo, freq_hi = (float(v) for v in freq_ratio_range)
+    if not np.isfinite([beta_lo, beta_hi, freq_lo, freq_hi]).all():
+        raise ValueError("regime map range ends must be finite")
     if not (1.0 < beta_lo < beta_hi):
         raise ValueError("beta ratio range must satisfy 1 < lo < hi")
     if not (0.0 < freq_lo < freq_hi):
@@ -466,45 +468,26 @@ def regime_map(
 
     beta_ratios = np.linspace(beta_lo, beta_hi, resolution)
     freq_ratios = np.linspace(freq_lo, freq_hi, resolution)
-    grid_beta, grid_freq = np.meshgrid(beta_ratios, freq_ratios, indexing="ij")
-    flat_beta = grid_beta.reshape(-1)
-    flat_freq = grid_freq.reshape(-1)
-    exponent_product = flat_beta * flat_freq
+    freq = freq_ratios[None, :]
+    exponent_product = beta_ratios[:, None] * freq
+    carnot = exponent_product > 1.0
+    regions = [("", "carnot", carnot), ("", "otto", (freq < 1.0) & carnot)]
 
-    carnot_mask = exponent_product > 1.0
-    otto_mask = (flat_freq < 1.0) & carnot_mask
-
-    catalytic_masks = []
-    boltz_hot = np.full(flat_beta.shape, math.exp(-1.0))
-    boltz_cold = np.exp(-exponent_product)
+    boltz_hot = np.full(exponent_product.size, math.exp(-1.0))
+    boltz_cold = np.exp(-exponent_product).reshape(-1)
     for quality in fractions:
         d, n = quality.numerator, quality.denominator
-        if d < n:
-            catalytic_masks.append(np.zeros(flat_beta.shape, dtype=bool))
-            continue
-        shape = SimplePermSpec(d - n, n)
-        _, transfer, solvable = _solve_flow_balance(shape, boltz_hot, boltz_cold)
-        work = (d * 1.0 - n * flat_freq) * np.where(solvable, transfer, 0.0)
-        window = (float(quality) > 1.0) & (float(quality) < exponent_product)
-        catalytic_masks.append(window & (work > MODE_TOL) & solvable)
-
-    rows = []
-    for idx in range(flat_beta.size):
-        b = float(flat_beta[idx])
-        f = float(flat_freq[idx])
-        rows.append(RegimeMapRow(b, f, "", bool(carnot_mask[idx]), "carnot"))
-        rows.append(RegimeMapRow(b, f, "", bool(otto_mask[idx]), "otto"))
-        for quality, mask in zip(fractions, catalytic_masks):
-            label = f"{quality.numerator}/{quality.denominator}"
-            rows.append(RegimeMapRow(b, f, label, bool(mask[idx]), "catalytic"))
-    header = (
-        "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)",
-        "# normalisation: beta_h = 1 and omega_h = 1 at every grid point",
-        f"# catalytic rows realise d/n in lowest terms, catalyst dimension capped at {MAX_REGIME_CATALYST_DIM}",
-        "# feasible: carnot = any engine possible; otto = bare hot-cold swap runs;"
-        " catalytic = the d/n simple permutation runs with a valid catalyst",
-    )
-    return RegimeMap(header, tuple(rows))
+        flags = np.zeros(exponent_product.shape, dtype=bool)
+        if d >= n:
+            _, transfer, solvable = _solve_flow_balance(
+                SimplePermSpec(d - n, n), boltz_hot, boltz_cold
+            )
+            transfer = np.where(solvable, transfer, 0.0).reshape(flags.shape)
+            work = (d * 1.0 - n * freq) * transfer
+            window = (float(quality) > 1.0) & (float(quality) < exponent_product)
+            flags = window & (work > MODE_TOL) & solvable.reshape(flags.shape)
+        regions.append((f"{d}/{n}", "catalytic", flags))
+    return RegimeMap(beta_ratios, freq_ratios, tuple(regions))
 
 
 def fig_work_vs_cold_swaps(

@@ -5,8 +5,8 @@ coherence-check.  Scalar results are printed as JSON, tables as CSV; every
 float is rendered with 12 significant digits so emitted files are stable
 byte-for-byte across runs and platforms.
 
-Exit codes: 0 success, 2 configuration error, 3 infeasible catalyst or no
-engine regime, 4 size or iteration guard exceeded.
+Exit codes: 0 success, 2 configuration error or non-finite result, 3
+infeasible catalyst or no engine regime, 4 size or iteration guard exceeded.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
+
+import numpy as np
 
 from . import catalysis, coherence, lp, permutations, thermo
 from .errors import (
@@ -29,10 +31,15 @@ from .errors import (
 
 
 def round12(value: float | None) -> float | None:
-    """Round to 12 significant digits (and normalise -0.0) for stable output."""
+    """Round to 12 significant digits (and normalise -0.0) for stable output.
+
+    A non-finite value cannot be emitted and raises ConfigError (exit 2).
+    """
     if value is None:
         return None
     rounded = float(f"{float(value):.12g}")
+    if not math.isfinite(rounded):
+        raise ConfigError(f"result is not finite ({rounded}) at these parameters")
     return 0.0 if rounded == 0.0 else rounded
 
 
@@ -43,11 +50,13 @@ def fmt12(value: float | None) -> str:
     return f"{rounded:.12g}"
 
 
-def _report_dict(report: thermo.CycleReport) -> dict:
-    data = report.to_dict()
-    for key in ("work", "heat_hot", "heat_cold", "efficiency"):
-        data[key] = round12(data[key])
-    return data
+def _rounded(payload):
+    """The payload with every float passed through round12."""
+    if isinstance(payload, dict):
+        return {key: _rounded(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_rounded(value) for value in payload]
+    return round12(payload) if isinstance(payload, float) else payload
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -59,7 +68,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", output)
+    _emit(json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n", output)
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -242,10 +251,10 @@ def cmd_report(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         payload = {
-            "report": _report_dict(report),
+            "report": report.to_dict(),
             "catalyst": {
-                "populations": [round12(p) for p in catalyst.populations],
-                "delta_p": round12(catalyst.delta_p),
+                "populations": catalyst.populations.tolist(),
+                "delta_p": catalyst.delta_p,
             },
             "simple_permutation": {"m": shape.m, "n": shape.n},
         }
@@ -257,12 +266,12 @@ def cmd_report(args) -> int:
         )
         if report.work <= thermo.MODE_TOL:
             raise NoEngineRegimeError("no engine regime")
-        _emit_json(_report_dict(report), args.output)
+        _emit_json(report.to_dict(), args.output)
         return 0
     report = _noncatalytic_stroke(
         config.stroke.image, config.omega_h, config.omega_c, config.beta
     )
-    _emit_json(_report_dict(report), args.output)
+    _emit_json(report.to_dict(), args.output)
     return 0
 
 
@@ -288,10 +297,10 @@ def cmd_optimize(args) -> int:
     )
     payload = {
         "objective": args.objective,
-        "best_value": round12(result.best_value),
+        "best_value": result.best_value,
         "engine_regime": result.engine_regime,
         "witnesses": [list(perm.image) for perm in result.witnesses],
-        "report": _report_dict(result.report) if result.report else None,
+        "report": result.report.to_dict() if result.report else None,
     }
     _emit_json(payload, args.output)
     return 0 if result.engine_regime else 3
@@ -308,13 +317,30 @@ def cmd_regime_map(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    lines = list(result.header)
-    lines.append("beta_ratio,freq_ratio,d_over_n,feasible,region_label")
-    for row in result.rows:
-        lines.append(
-            f"{fmt12(row.beta_ratio)},{fmt12(row.freq_ratio)},{row.d_over_n},"
-            f"{int(row.feasible)},{row.region_label}"
-        )
+    lines = [
+        "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)",
+        "# normalisation: beta_h = 1 and omega_h = 1 at every grid point",
+        "# catalytic rows realise d/n in lowest terms, catalyst dimension capped at "
+        f"{catalysis.MAX_REGIME_CATALYST_DIM}",
+        "# feasible: carnot = any engine possible; otto = bare hot-cold swap runs;"
+        " catalytic = the d/n simple permutation runs with a valid catalyst",
+        "beta_ratio,freq_ratio,d_over_n,feasible,region_label",
+    ]
+    # one row per (beta, freq, region), beta outermost; each cell pair is
+    # indexed by the flag
+    cells = [
+        (f"{label},0,{region}", f"{label},1,{region}")
+        for label, region, _ in result.regions
+    ]
+    flags = np.stack([mask for _, _, mask in result.regions], axis=-1).tolist()
+    freq_texts = [fmt12(freq) for freq in result.freq_ratios]
+    for beta, beta_flags in zip(result.beta_ratios, flags):
+        beta_text = fmt12(beta)
+        for freq_text, point_flags in zip(freq_texts, beta_flags):
+            lines.extend(
+                f"{beta_text},{freq_text},{cell[flag]}"
+                for cell, flag in zip(cells, point_flags)
+            )
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -356,20 +382,13 @@ def cmd_lp_bound(args) -> int:
             thermo.gibbs_populations(hot, beta.beta_h),
             thermo.gibbs_populations(cold, beta.beta_c),
         )
+        hamiltonian = thermo.combined_spectrum(
+            thermo.Spectrum.trivial(catalyst_dim), hot, cold
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    hamiltonian = thermo.combined_spectrum(
-        thermo.Spectrum.trivial(catalyst_dim), hot, cold
-    )
     solution = lp.lp_work_upper_bound(hamiltonian, initial, catalyst_dim)
-    payload = solution.to_dict()
-    payload["value"] = round12(payload["value"])
-    payload["dual"]["y"] = round12(payload["dual"]["y"])
-    payload["dual"]["x"] = [round12(v) for v in payload["dual"]["x"]]
-    for entry in payload["alphas"]:
-        entry["weight"] = round12(entry["weight"])
-    payload["residuals"] = {k: round12(v) for k, v in payload["residuals"].items()}
-    _emit_json(payload, args.output)
+    _emit_json(solution.to_dict(), args.output)
     return 0
 
 
@@ -383,8 +402,8 @@ def cmd_coherence_check(args) -> int:
     result = coherence.run_coherence_suite(args.trials, args.seed, dims)
     payload = {
         "trials": result.trials,
-        "max_heat_mismatch": round12(result.max_heat_mismatch),
-        "max_cyclicity_residual": round12(result.max_cyclicity_residual),
+        "max_heat_mismatch": result.max_heat_mismatch,
+        "max_cyclicity_residual": result.max_cyclicity_residual,
     }
     _emit_json(payload, args.output)
     return 0

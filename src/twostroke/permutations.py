@@ -46,12 +46,6 @@ class PermutationMap:
     def identity(cls, n: int) -> "PermutationMap":
         return cls(tuple(range(n)))
 
-    @classmethod
-    def swap(cls, n: int, a: int, b: int) -> "PermutationMap":
-        image = list(range(n))
-        image[a], image[b] = image[b], image[a]
-        return cls(tuple(image))
-
     def __len__(self) -> int:
         return len(self.image)
 

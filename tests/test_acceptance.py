@@ -184,27 +184,26 @@ def test_criterion_6_regime_map():
     chart = ts.regime_map(
         ["5/3", "2.2", "3.2", "4"], (1.01, 4.0), (0.05, 2.5), 200
     )
-    flags = {}
-    for row in chart.rows:
-        key = (row.beta_ratio, row.freq_ratio)
-        name = row.d_over_n if row.region_label == "catalytic" else row.region_label
-        flags.setdefault(key, {})[name] = row.feasible
-    assert len(flags) == 200 * 200
+    flags = {
+        label if region == "catalytic" else region: mask
+        for label, region, mask in chart.regions
+    }
+    assert len(np.unique(chart.beta_ratios)) == len(np.unique(chart.freq_ratios)) == 200
+    assert all(mask.shape == (200, 200) for mask in flags.values())
 
-    target = (7.0 / 6.0, 1.5)
-    nearest = min(
-        flags, key=lambda k: (k[0] - target[0]) ** 2 + (k[1] - target[1]) ** 2
+    # the grid is a product, so the nearest point has the nearest coordinates
+    nearest = (
+        np.argmin(np.abs(chart.beta_ratios - 7.0 / 6.0)),
+        np.argmin(np.abs(chart.freq_ratios - 1.5)),
     )
-    assert flags[nearest]["5/3"]
-    assert not flags[nearest]["otto"]
+    assert flags["5/3"][nearest]
+    assert not flags["otto"][nearest]
 
     for quality in ("11/5", "16/5", "4/1"):
-        extension = 0
-        for key, point in flags.items():
-            catalytic_region = point[quality] or point["otto"]
-            assert point["otto"] <= catalytic_region <= point["carnot"]
-            if point[quality] and not point["otto"]:
-                extension += 1
+        catalytic_region = flags[quality] | flags["otto"]
+        assert (flags["otto"] <= catalytic_region).all()
+        assert (catalytic_region <= flags["carnot"]).all()
+        extension = (flags[quality] & ~flags["otto"]).sum()
         assert extension > 0, f"{quality} never extends beyond the bare engine"
     print("\nACCEPTANCE 6 (regime map point checks and nesting): PASS")
 

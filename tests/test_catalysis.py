@@ -400,58 +400,57 @@ class TestFeasibleQuality:
 
 
 class TestRegimeMap:
+    @staticmethod
+    def flags(chart, region_label):
+        return [mask for _, region, mask in chart.regions if region == region_label]
+
     def test_worked_example_point(self):
         chart = ts.regime_map(
             ["5/3"], (1.01, 1.5), (1.0, 2.0), 30
         )
-        target = (7.0 / 6.0, 1.5)
-        catalytic = [r for r in chart.rows if r.region_label == "catalytic"]
-        nearest = min(
-            catalytic,
-            key=lambda r: (r.beta_ratio - target[0]) ** 2 + (r.freq_ratio - target[1]) ** 2,
+        # the grid is a product, so the nearest point has the nearest coordinates
+        nearest = (
+            np.argmin(np.abs(chart.beta_ratios - 7.0 / 6.0)),
+            np.argmin(np.abs(chart.freq_ratios - 1.5)),
         )
-        assert nearest.feasible
-        otto = [r for r in chart.rows if r.region_label == "otto"]
-        nearest_otto = min(
-            otto,
-            key=lambda r: (r.beta_ratio - target[0]) ** 2 + (r.freq_ratio - target[1]) ** 2,
-        )
-        assert not nearest_otto.feasible
+        (catalytic,) = self.flags(chart, "catalytic")
+        assert catalytic[nearest]
+        (otto,) = self.flags(chart, "otto")
+        assert not otto[nearest]
 
     def test_clausius_forbidden_corner(self):
         chart = ts.regime_map(["2", "3"], (1.02, 1.6), (0.05, 0.5), 12)
-        for row in chart.rows:
-            if row.beta_ratio * row.freq_ratio <= 1.0:
-                assert not row.feasible
+        forbidden = np.multiply.outer(chart.beta_ratios, chart.freq_ratios) <= 1.0
+        assert forbidden.any()
+        for _, _, mask in chart.regions:
+            assert not mask[forbidden].any()
 
     def test_quality_below_one_never_feasible(self):
         chart = ts.regime_map(["1/2"], (1.1, 1.9), (0.2, 1.8), 8)
-        assert not any(
-            r.feasible for r in chart.rows if r.region_label == "catalytic"
-        )
+        assert not any(mask.any() for mask in self.flags(chart, "catalytic"))
 
     def test_catalytic_flags_match_scalar_reports(self):
         qualities = [Fraction(q) for q in ("5/3", "2.2", "4", "63/2")]
         chart = ts.regime_map(qualities, (1.01, 40.0), (0.05, 2.5), 25)
-        per_point = 2 + len(qualities)
         rng = np.random.default_rng(63)
-        for k, quality in enumerate(qualities):
+        for quality, (label, region, mask) in zip(qualities, chart.regions[2:]):
+            assert (label, region) == (f"{quality.numerator}/{quality.denominator}", "catalytic")
             inside = [
-                row
-                for row in chart.rows[2 + k :: per_point]
-                if 1.0 < quality < row.beta_ratio * row.freq_ratio
+                (beta, freq, mask[i, j])
+                for i, beta in enumerate(chart.beta_ratios.tolist())
+                for j, freq in enumerate(chart.freq_ratios.tolist())
+                if 1.0 < quality < beta * freq
             ]
-            assert all(row.d_over_n == f"{quality.numerator}/{quality.denominator}" for row in inside)
             shape = ts.SimplePermSpec(quality.numerator - quality.denominator, quality.denominator)
             for pick in rng.choice(len(inside), size=5, replace=False):
-                row = inside[pick]
-                beta = ts.InverseTemperaturePair(1.0, row.beta_ratio)
+                beta_ratio, freq_ratio, feasible = inside[pick]
+                beta = ts.InverseTemperaturePair(1.0, beta_ratio)
                 try:
-                    report, _ = ts.simple_perm_report(shape, 1.0, row.freq_ratio, beta)
+                    report, _ = ts.simple_perm_report(shape, 1.0, freq_ratio, beta)
                     expected = report.work > MODE_TOL
                 except ts.InfeasibleCatalystError:
                     expected = False
-                assert row.feasible == expected
+                assert feasible == expected
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):

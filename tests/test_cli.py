@@ -122,6 +122,27 @@ class TestConfigValidation:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # efficiencies overflow to -inf
+            ["table24", "--beta-h", "2", "--beta-c", "1e308",
+             "--omega-h", "3", "--omega-c", "1e308"],
+            # the hot heat overflows to inf
+            ["report", "--beta-h", "5e-324", "--beta-c", "2",
+             "--omega-h", "1e308", "--omega-c", "1", "--simple", "1,40"],
+            # the combined spectrum overflows
+            ["lp-bound", "--beta-h", "1", "--beta-c", "1e300",
+             "--omega-h", "1e308", "--omega-c", "1e308", "--catalyst-dim", "2"],
+        ],
+    )
+    def test_non_finite_result_exits_cleanly(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        # numpy may warn about the overflow first, unless pytest captures it
+        assert err.splitlines()[-1].startswith("error: ")
+
     def test_mixed_forms_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -238,6 +259,26 @@ class TestRegimeMap:
         assert data[0] == "beta_ratio,freq_ratio,d_over_n,feasible,region_label"
         # 6x6 grid, each point: carnot + otto + two catalytic rows
         assert len(data) - 1 == 36 * 4
+
+    def test_matches_golden(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "regime-map", "--d-over-n", "5/3,2.2,4,1/2", "--resolution", "6",
+            "--beta-ratio-min", "1.01", "--beta-ratio-max", "40",
+            "--freq-ratio-min", "0.05", "--freq-ratio-max", "2.5",
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "regime_map_small.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--freq-ratio-max", "inf"), ("--beta-ratio-max", "inf"), ("--freq-ratio-min", "nan")],
+    )
+    def test_non_finite_range_end(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "regime-map", "--resolution", "3", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err == "error: regime map range ends must be finite\n"
 
     def test_bad_ratio(self, capsys):
         code, _, err = run_cli(
