@@ -488,7 +488,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow shows up as a non-finite result, which exits 2 on its own
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

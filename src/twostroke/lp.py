@@ -1,14 +1,19 @@
 """Linear-programming upper bound on catalytic work extraction.
 
-B[i, j] is the share of the population of level j that a bistochastic stroke
-sends to level i.  Work and catalyst block sums are linear in B, so the best
-catalyst-preserving bistochastic stroke is one linear program over the n*n
-entries of B.  By Birkhoff--von Neumann it equals the program over convex
-weights of the n! permutations (`build_work_bound_problem`, kept as the test
-reference), and the optimal B is decomposed back into permutation weights.
-The value bounds the work of any single catalyst-preserving permutation from
-above, and relaxes the harder question of which bistochastic matrices arise
-from actual unitaries.
+A bistochastic stroke is a convex mixture of permutations (Birkhoff--von
+Neumann), and work and catalyst block sums are linear in the mixture, so the
+best catalyst-preserving bistochastic stroke is a linear program over the
+weights of the n! permutations.  It is solved by column generation
+(Dantzig--Wolfe): a master program over the permutations found so far, with
+a convexity row and the first d_s - 1 block sums, and a pricing step that
+finds the permutation of largest reduced cost against the master's duals.
+By the rearrangement inequality that permutation sends the largest
+population to the smallest energy shifted by its block's multiplier, so
+pricing over all n! permutations is one sort.  `build_work_bound_problem`
+lists every permutation column and is kept as the test reference.  The value
+bounds the work of any single catalyst-preserving permutation from above,
+and relaxes the harder question of which bistochastic matrices arise from
+actual unitaries.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import simplex
-from .birkhoff import birkhoff_decompose
 from .errors import GuardExceededError
 from .permutations import PermutationMap
 from .thermo import PopulationVector, Spectrum
@@ -43,46 +47,22 @@ class WorkBoundProblem:
 
 
 @dataclass(frozen=True, eq=False)
-class BistochasticProgram:
-    """Maximise work . B subject to constraints @ B = rhs and B >= 0, over
-    the entries of B flattened row-major.
-
-    Rows: the n row sums, the first n-1 column sums and the first d_s-1
-    catalyst block sums of B p.  The last column sum and the last block sum
-    follow from the others, so they are left out.
-    """
-
-    work: np.ndarray         # (n, n) objective W[i, j] = (E_j - E_i) p_j
-    constraints: np.ndarray  # (2n - 1 + d_s - 1, n*n)
-    rhs: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class LPSolution:
-    """Primal weights, dual certificate and value of the work-bound program.
+    """Permutation weights, dual certificate and value of the work-bound
+    program, with the body it was solved for.
 
-    `multipliers` holds one dual value per program row: the row potentials
-    u, the column potentials v and the block multipliers x.
+    `dual_y` is the multiplier of the normalisation row and `dual_x` those of
+    the first d_s-1 catalyst block sums.
     """
 
     value: float
     alphas: dict[PermutationMap, float]
     status: str
     residuals: dict[str, float]
-    program: BistochasticProgram = field(repr=False)
-    multipliers: np.ndarray = field(repr=False)
-    basis: tuple[int, ...] = field(repr=False)
-
-    @property
-    def dual_y(self) -> float:
-        """Sum of the row and column potentials (the normalisation multiplier)."""
-        return float(self.multipliers[: 2 * self.program.work.shape[0] - 1].sum())
-
-    @property
-    def dual_x(self) -> tuple[float, ...]:
-        """Multipliers of the first d_s-1 catalyst block sums."""
-        n = self.program.work.shape[0]
-        return tuple(float(v) for v in self.multipliers[2 * n - 1 :])
+    dual_y: float
+    dual_x: tuple[float, ...]
+    hamiltonian: Spectrum = field(repr=False)
+    initial: PopulationVector = field(repr=False)
 
     def to_dict(self) -> dict:
         alphas = sorted(
@@ -132,22 +112,21 @@ def build_work_bound_problem(
     )
 
 
-def _bistochastic_program(
-    hamiltonian: Spectrum, initial: PopulationVector, catalyst_dim: int
-) -> BistochasticProgram:
-    energies = hamiltonian.energies()
-    probs = initial.probs
+def _best_permutation(
+    energies: np.ndarray, probs: np.ndarray, target: np.ndarray, y: float, x
+) -> tuple[np.ndarray, float]:
+    """Image of the permutation of largest reduced cost w - y - x . a against
+    the duals (y, x), and that reduced cost.
+
+    The largest population goes to the smallest energy shifted by its
+    block's multiplier (the last block's is zero), which is optimal over all
+    n! permutations by the rearrangement inequality.
+    """
     n = probs.size
-    eye = np.eye(n)
-    block_rows = np.repeat(np.eye(catalyst_dim), n // catalyst_dim, axis=1)
-    constraints = np.vstack([
-        np.kron(eye, np.ones(n)),
-        np.kron(np.ones(n), eye)[: n - 1],
-        np.kron(block_rows, probs)[: catalyst_dim - 1],
-    ])
-    rhs = np.concatenate([np.ones(2 * n - 1), initial.catalyst_marginal()[:-1]])
-    work = (energies[None, :] - energies[:, None]) * probs[None, :]
-    return BistochasticProgram(work, constraints, rhs)
+    shifted = energies + np.append(x, 0.0)[np.arange(n) // (n // target.size)]
+    image = np.empty(n, dtype=int)
+    image[np.argsort(-probs, kind="stable")] = np.argsort(shifted, kind="stable")
+    return image, float(probs @ energies - probs @ shifted[image] - y)
 
 
 def lp_work_upper_bound(
@@ -158,8 +137,8 @@ def lp_work_upper_bound(
     """Best work over catalyst-preserving bistochastic strokes.
 
     Exact for working bodies of dimension up to MAX_DIMENSION; larger bodies
-    raise GuardExceededError.  `alphas` is a convex decomposition of the
-    optimal B into permutations.
+    raise GuardExceededError.  `alphas` are the positive weights of the
+    optimal master vertex, at most `catalyst_dim` permutations.
     """
     catalyst_dim = int(catalyst_dim)
     if catalyst_dim != initial.basis_shape[0]:
@@ -172,33 +151,38 @@ def lp_work_upper_bound(
     n = initial.dimension
     if n > MAX_DIMENSION:
         raise GuardExceededError(f"LP dimension {n} exceeds the cap {MAX_DIMENSION}")
-    program = _bistochastic_program(hamiltonian, initial, catalyst_dim)
-    result = simplex.simplex_solve(
-        program.work.reshape(-1), program.constraints, program.rhs
-    )
-    if result.status != simplex.OPTIMAL:
-        return LPSolution(
-            0.0, {}, simplex.INFEASIBLE, {}, program,
-            np.zeros(program.rhs.size), (),
+    energies = hamiltonian.energies()
+    probs = initial.probs
+    target = initial.catalyst_marginal()
+    block_of = np.arange(n) // (n // catalyst_dim)
+    rhs = np.concatenate([[1.0], target[:-1]])
+    # the identity keeps the catalyst, so the master is feasible from the start
+    images = [np.arange(n)]
+    basis = None
+    while True:
+        stack = np.array(images)
+        work = probs @ energies - energies[stack] @ probs
+        sums = probs @ np.eye(catalyst_dim)[block_of[stack]]
+        columns = np.vstack([np.ones(len(images)), sums[:, :-1].T])
+        result = simplex.simplex_solve(work, columns, rhs, basis=basis)
+        image, reduced = _best_permutation(
+            energies, probs, target, result.dual[0], result.dual[1:]
         )
-    matrix = result.x.reshape(n, n)
-    # no permutation repeats: each term zeroes one entry of its own support
-    alphas = {perm: weight for weight, perm in birkhoff_decompose(matrix)}
-    block_sums = (matrix @ initial.probs).reshape(catalyst_dim, -1).sum(axis=1)
+        if reduced <= simplex.PIVOT_TOL or (stack == image).all(axis=1).any():
+            break
+        images.append(image)
+        # appending a column keeps the basis primal feasible
+        basis = result.basis if len(result.basis) == rhs.size else None
+    used = np.flatnonzero(result.x > 0.0)
+    alphas = {PermutationMap(stack[k]): float(result.x[k]) for k in used}
     residuals = {
-        "primal_marginal_max": float(
-            np.abs(block_sums - initial.catalyst_marginal()).max()
-        ),
+        "primal_marginal_max": float(np.abs(result.x @ sums - target).max()),
         "weight_sum_error": float(abs(sum(alphas.values()) - 1.0)),
     }
     solution = LPSolution(
-        float(result.value),
-        alphas,
-        simplex.OPTIMAL,
-        residuals,
-        program,
-        result.dual,
-        tuple(int(b) for b in result.basis),
+        result.value, alphas, simplex.OPTIMAL, residuals,
+        float(result.dual[0]), tuple(float(v) for v in result.dual[1:]),
+        hamiltonian, initial,
     )
     residuals["dual_max_violation"] = lp_dual_check(solution)
     return solution
@@ -207,13 +191,16 @@ def lp_work_upper_bound(
 def lp_dual_check(solution: LPSolution) -> float:
     """Largest violation of the dual certificate.
 
-    Checks dual feasibility, u_i + v_j + x_block(i) * p_j >= W[i, j] for
-    every entry of B (the left-out last column and block rows carry
-    multiplier zero), and the strong-duality gap between the dual objective
-    y + sum_k t_k x_k and the primal value.
+    Checks dual feasibility, y >= w - x . a for every one of the n!
+    permutation columns (the worst is found by `_best_permutation`), and the
+    strong-duality gap between the dual objective y + sum_k t_k x_k and the
+    primal value.
     """
-    program = solution.program
-    multipliers = solution.multipliers
-    slack = program.work.reshape(-1) - multipliers @ program.constraints
-    gap = abs(float(multipliers @ program.rhs) - solution.value)
-    return max(float(slack.max(initial=0.0)), gap)
+    target = solution.initial.catalyst_marginal()
+    x = np.asarray(solution.dual_x)
+    _, reduced = _best_permutation(
+        solution.hamiltonian.energies(), solution.initial.probs, target,
+        solution.dual_y, x,
+    )
+    gap = abs(solution.dual_y + float(target[:-1] @ x) - solution.value)
+    return max(reduced, 0.0, gap)

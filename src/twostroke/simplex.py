@@ -78,12 +78,15 @@ def simplex_solve(
     constraints,
     rhs,
     max_iterations: int = 100_000,
+    basis=None,
 ) -> SimplexResult:
     """Maximise objective.x subject to constraints.x = rhs and x >= 0.
 
     Returns the optimum with the primal solution, the dual multipliers (one
     per constraint row, zeros on rows phase one proved redundant), and the
-    final basis as column indices.
+    final basis as column indices.  A `basis` returned by an earlier solve
+    that kept every row skips phase one; it must still be primal feasible,
+    as it is after columns are appended to that program.
     """
     columns = np.array(constraints, dtype=float)
     rhs = np.array(rhs, dtype=float)
@@ -98,45 +101,48 @@ def simplex_solve(
     columns[flip] *= -1.0
     rhs[flip] *= -1.0
 
-    # Phase one: drive artificial variables to zero.
-    phase_columns = np.hstack([columns, np.eye(n_rows)])
-    phase_objective = np.concatenate([np.zeros(n_cols), -np.ones(n_rows)])
-    basis = list(range(n_cols, n_cols + n_rows))
-    iterations = 0
-    try:
-        basis, used = _iterate(phase_columns, rhs, phase_objective, basis, max_iterations)
-    except _Unbounded:  # phase one is bounded below by construction
-        raise RuntimeError("phase one reported unbounded; this is a bug")
-    iterations += used
-    artificial_level = float(
-        phase_objective[basis] @ np.linalg.solve(phase_columns[:, basis], rhs)
-    )
-    if artificial_level < -PIVOT_TOL:
-        return SimplexResult(INFEASIBLE, 0.0, None, None, None, iterations)
-
-    # Pivot leftover artificials out of the basis; rows that cannot be
-    # pivoted are linearly dependent on the others and get dropped.
     kept_rows = list(range(n_rows))
-    redundant: list[int] = []
-    for position, variable in enumerate(list(basis)):
-        if variable < n_cols:
-            continue
-        base = phase_columns[:, basis]
-        selector = np.zeros(n_rows)
-        selector[position] = 1.0
-        row_in_reduced = np.linalg.solve(base.T, selector) @ columns
-        candidates = np.flatnonzero(np.abs(row_in_reduced) > PIVOT_TOL)
-        candidates = [c for c in candidates if c not in basis]
-        if candidates:
-            basis[position] = int(candidates[0])
-        else:
-            redundant.append(position)
-    if redundant:
-        positions = [p for p in range(n_rows) if p not in redundant]
-        kept_rows = positions
-        columns = columns[positions]
-        rhs = rhs[positions]
-        basis = [basis[p] for p in positions]
+    iterations = 0
+    if basis is not None:
+        basis = list(basis)
+    else:
+        # Phase one: drive artificial variables to zero.
+        phase_columns = np.hstack([columns, np.eye(n_rows)])
+        phase_objective = np.concatenate([np.zeros(n_cols), -np.ones(n_rows)])
+        basis = list(range(n_cols, n_cols + n_rows))
+        try:
+            basis, iterations = _iterate(
+                phase_columns, rhs, phase_objective, basis, max_iterations
+            )
+        except _Unbounded:  # phase one is bounded below by construction
+            raise RuntimeError("phase one reported unbounded; this is a bug")
+        artificial_level = float(
+            phase_objective[basis] @ np.linalg.solve(phase_columns[:, basis], rhs)
+        )
+        if artificial_level < -PIVOT_TOL:
+            return SimplexResult(INFEASIBLE, 0.0, None, None, None, iterations)
+
+        # Pivot leftover artificials out of the basis; rows that cannot be
+        # pivoted are linearly dependent on the others and get dropped.
+        redundant: list[int] = []
+        for position, variable in enumerate(list(basis)):
+            if variable < n_cols:
+                continue
+            base = phase_columns[:, basis]
+            selector = np.zeros(n_rows)
+            selector[position] = 1.0
+            row_in_reduced = np.linalg.solve(base.T, selector) @ columns
+            candidates = np.flatnonzero(np.abs(row_in_reduced) > PIVOT_TOL)
+            candidates = [c for c in candidates if c not in basis]
+            if candidates:
+                basis[position] = int(candidates[0])
+            else:
+                redundant.append(position)
+        if redundant:
+            kept_rows = [p for p in range(n_rows) if p not in redundant]
+            columns = columns[kept_rows]
+            rhs = rhs[kept_rows]
+            basis = [basis[p] for p in kept_rows]
 
     try:
         basis, used = _iterate(columns, rhs, objective, basis, max_iterations - iterations)

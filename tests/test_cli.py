@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -137,11 +138,13 @@ class TestConfigValidation:
         ],
     )
     def test_non_finite_result_exits_cleanly(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+        # an overflow warning would reach stderr ahead of the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        # numpy may warn about the overflow first, unless pytest captures it
-        assert err.splitlines()[-1].startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_mixed_forms_rejected(self, capsys):
         code, _, err = run_cli(
@@ -354,9 +357,10 @@ class TestLpBound:
 
     def test_iteration_limit_exit_code(self, capsys, monkeypatch):
         solve = simplex.simplex_solve
+        # the master program needs only a few pivots, so allow none
         monkeypatch.setattr(
             simplex, "simplex_solve",
-            lambda *args: solve(*args, max_iterations=5),
+            lambda *args, **kwargs: solve(*args, **kwargs, max_iterations=0),
         )
         code, out, err = run_cli(
             capsys,
@@ -366,6 +370,23 @@ class TestLpBound:
         assert code == 4
         assert out == ""
         assert err == "error: simplex iteration limit exceeded\n"
+
+    @pytest.mark.parametrize(
+        "beta_h, beta_c, omega_h",
+        # the old bistochastic-matrix optimum missed its row sums by 1e-10 and
+        # 7e-10 here and ended in a traceback
+        [("0.5", "100", "100"), ("1", "700", "700")],
+    )
+    def test_extreme_parameters_solve(self, capsys, beta_h, beta_c, omega_h):
+        code, out, err = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", beta_h, "--beta-c", beta_c,
+            "--omega-h", omega_h, "--omega-c", "1e-12", "--catalyst-dim", "2",
+        )
+        assert code == 0, err
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["status"] == "optimal"
+        assert max(payload["residuals"].values()) <= 1e-9
 
     def test_population_length_mismatch(self, capsys):
         code, _, err = run_cli(

@@ -198,28 +198,50 @@ def _cold_spectrum(hamiltonian, state):
 
 class TestVertexReconstruction:
     def test_nondegenerate_optimum_inverts(self, rng):
-        # the basis columns A_B of the B-coordinate program alone give the
-        # optimal entries, B_B = inverse(A_B) b with every other entry zero,
-        # and the dual point, (u, v, x) = inverse(A_B)^T W_B.  No vertex has
-        # to be skipped: B has few nonzeros, so the inversion must not rely
-        # on a nondegenerate vertex.
+        # the optimum is a vertex of the master program: at most d_s
+        # permutations, each with zero reduced cost against the duals
+        # (complementary slackness), mixed to keep the catalyst block sums
+        # and to reach the value
         for _ in range(4):
             hamiltonian, initial, d_s, _ = random_instance(rng, (2, 2, 2))
             solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
-            program = solution.program
-            n = initial.dimension
-            basis = list(solution.basis)
-            assert len(basis) == program.rhs.size  # no row was redundant
-            a_basis = program.constraints[:, basis]
-            entries = np.zeros(n * n)
-            entries[basis] = np.linalg.solve(a_basis, program.rhs)
-            mixture = np.zeros((n, n))
-            for perm, weight in solution.alphas.items():
-                mixture[list(perm.image), range(n)] += weight
-            assert np.abs(entries - mixture.reshape(-1)).max() < 1e-8
-            dual_point = np.linalg.solve(a_basis.T, program.work.reshape(-1)[basis])
-            assert dual_point[: 2 * n - 1].sum() == pytest.approx(solution.dual_y, abs=1e-8)
-            assert np.abs(dual_point[2 * n - 1 :] - solution.dual_x).max() < 1e-8
+            assert len(solution.alphas) <= d_s
+            problem = lp.build_work_bound_problem(
+                hamiltonian, initial, d_s, np.array([p.image for p in solution.alphas])
+            )
+            weights = np.array(list(solution.alphas.values()))
+            x = np.asarray(solution.dual_x)
+            reduced = problem.work - solution.dual_y - problem.marginals[:, :-1] @ x
+            assert np.abs(reduced).max() <= 1e-10
+            assert np.abs(weights @ problem.marginals - problem.target).max() <= 1e-10
+            assert weights @ problem.work == pytest.approx(solution.value, abs=1e-10)
+
+
+class TestPricing:
+    def test_sort_matches_brute_force(self, rng):
+        # the sorted permutation has the largest reduced cost w - y - x . a
+        # over all n! permutation columns, at the solved duals and away from
+        # them; the uniform catalyst repeats populations, so the sort meets ties
+        bodies = [random_instance(rng, dims)[:3] for dims in ((1, 2, 4), (2, 2, 2), (2, 1, 3))]
+        beta = ts.InverseTemperaturePair(1.0, 3.0)
+        bodies.append((*qubit_body([0.5, 0.5], 0.6, beta), 2))
+        for hamiltonian, initial, d_s in bodies:
+            solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
+            problem = permutation_problem(hamiltonian, initial, d_s)
+            energies, probs = hamiltonian.energies(), initial.probs
+            duals = [(solution.dual_y, np.asarray(solution.dual_x))]
+            for _ in range(5):
+                duals.append((
+                    solution.dual_y + float(rng.normal(0.0, 0.1)),
+                    np.asarray(solution.dual_x) + rng.normal(0.0, 0.5, d_s - 1),
+                ))
+            for y, x in duals:
+                image, reduced = lp._best_permutation(energies, probs, problem.target, y, x)
+                brute = problem.work - y - problem.marginals[:, :-1] @ x
+                assert reduced == pytest.approx(brute.max(), abs=1e-12)
+                column = lp.build_work_bound_problem(hamiltonian, initial, d_s, image[None])
+                own = column.work[0] - y - column.marginals[0, :-1] @ x
+                assert own == pytest.approx(reduced, abs=1e-12)
 
 
 class TestGuardFallback:

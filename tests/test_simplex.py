@@ -88,3 +88,21 @@ class TestAgainstScipy:
             assert result.status == simplex.OPTIMAL
             reference = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
             assert result.value == pytest.approx(-reference.fun, abs=1e-8)
+
+
+class TestWarmStart:
+    def test_appended_columns_reach_the_cold_optimum(self, rng):
+        # appending columns keeps the returned basis primal feasible, so the
+        # warm solve skips phase one and still ends at the optimum
+        for _ in range(20):
+            a = rng.uniform(0.0, 1.0, size=(3, 10))
+            b = a[:, :5] @ rng.dirichlet(np.ones(5))
+            c = rng.normal(size=10)
+            first = solve(c[:5], a[:, :5], b)
+            assert len(first.basis) == 3
+            warm = simplex.simplex_solve(c, a, b, basis=first.basis)
+            cold = solve(c, a, b)
+            assert warm.status == simplex.OPTIMAL
+            assert warm.value == pytest.approx(cold.value, abs=1e-10)
+            assert np.abs(a @ warm.x - b).max() <= 1e-10
+            assert (c - warm.dual @ a).max() <= 1e-9
