@@ -373,8 +373,8 @@ class TestLpBound:
 
     @pytest.mark.parametrize(
         "beta_h, beta_c, omega_h",
-        # the old bistochastic-matrix optimum missed its row sums by 1e-10 and
-        # 7e-10 here and ended in a traceback
+        # regression: an optimum that misses the bistochastic row sums by
+        # 1e-10 here must still be reported, not raise
         [("0.5", "100", "100"), ("1", "700", "700")],
     )
     def test_extreme_parameters_solve(self, capsys, beta_h, beta_c, omega_h):
