@@ -373,8 +373,8 @@ class TestLpBound:
 
     @pytest.mark.parametrize(
         "beta_h, beta_c, omega_h",
-        # regression: an optimum that misses the bistochastic row sums by
-        # 1e-10 here must still be reported, not raise
+        # extreme populations: a cold gap of 1e-12 and beta_c * omega_h up to
+        # 4.9e5; both once ended in a traceback
         [("0.5", "100", "100"), ("1", "700", "700")],
     )
     def test_extreme_parameters_solve(self, capsys, beta_h, beta_c, omega_h):
