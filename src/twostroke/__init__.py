@@ -12,7 +12,6 @@ irrelevant to the machine's performance.
 from .birkhoff import BistochasticMatrix, birkhoff_decompose
 from .catalysis import (
     CatalystState,
-    FlowAccount,
     SimplePermSpec,
     build_simple_perm,
     delta_p_closed_form,
@@ -22,7 +21,6 @@ from .catalysis import (
     regime_map,
     simple_perm_report,
     solve_catalyst_state,
-    subspace_flows,
     sweep_simple_perms,
 )
 from .coherence import (
@@ -73,7 +71,6 @@ __all__ = [
     "CyclicityError",
     "DegeneratePointError",
     "EngineError",
-    "FlowAccount",
     "GuardExceededError",
     "InfeasibleCatalystError",
     "InverseTemperaturePair",
@@ -111,6 +108,5 @@ __all__ = [
     "simple_perm_report",
     "solve_catalyst_state",
     "stroke_report",
-    "subspace_flows",
     "sweep_simple_perms",
 ]

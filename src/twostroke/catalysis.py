@@ -13,9 +13,11 @@ into a cold one, the heats are
 so the efficiency is 1 - n*omega_c/((m+n)*omega_h) regardless of the
 transfer's size.  The transfer itself follows from the block flow-balance
 equations.  Each is a two-term recurrence between neighbouring blocks, so
-one O(d) pass over the blocks, closed by a 2x2 system, solves them for a
-whole array of parameter points at once; `delta_p_closed_form` gives the
-same transfer in closed form away from its poles.
+one O(d) pass over the blocks, closed by a 2x2 system, solves them at once
+for an array of parameter points and every (d - n, n) split of one d (the
+splits share one table of powers per point, and one slice of it when the
+cold segment runs backward); `delta_p_closed_form` gives the same transfer
+in closed form away from its poles.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .thermo import (
     MODE_TOL,
     CycleReport,
     InverseTemperaturePair,
-    PopulationVector,
     Spectrum,
     combined_spectrum,
     gibbs_populations,
@@ -47,6 +48,7 @@ from .thermo import (
 
 NEGATIVE_POPULATION_TOL = 1e-12
 MAX_REGIME_CATALYST_DIM = 64
+SPLIT_BLOCK_ENTRIES = 2**16  # populations per block of solved splits: flat memory in d
 
 
 @dataclass(frozen=True)
@@ -92,14 +94,6 @@ class CatalystState:
         object.__setattr__(self, "delta_p", float(self.delta_p))
 
 
-@dataclass(frozen=True)
-class FlowAccount:
-    """Net population leaving the excited hot / excited cold subspaces."""
-
-    hot_flow: float
-    cold_flow: float
-
-
 def _level(block: int, hot: int, cold: int) -> int:
     """Flat index of |block, hot, cold> with 1-based block labels."""
     return 4 * (block - 1) + 2 * hot + cold
@@ -129,80 +123,106 @@ def build_simple_perm(shape: SimplePermSpec) -> PermutationMap:
     return PermutationMap(tuple(image))
 
 
-def subspace_flows(initial: PopulationVector, final: PopulationVector) -> FlowAccount:
-    """Net population flow out of the excited hot and cold subspaces.
-
-    For qubit hot/cold factors each heat is this flow times the level
-    spacing, which is what makes simple permutations analysable by counting
-    arrows instead of energies.
-    """
-    if initial.basis_shape != final.basis_shape:
-        raise ValueError("basis shapes differ")
-    _, d_h, d_c = initial.basis_shape
-    if d_h != 2 or d_c != 2:
-        raise ValueError("subspace flows are defined for qubit hot/cold factors")
-    diff = initial.grid() - final.grid()
-    return FlowAccount(float(diff[:, 1, :].sum()), float(diff[:, :, 1].sum()))
-
-
-def _check_boltzmann(value: float, name: str) -> float:
-    value = float(value)
-    if not (0.0 < value < 1.0) or not math.isfinite(value):
-        raise ValueError(f"{name} must lie strictly between 0 and 1")
-    return value
+def _check_boltzmann(boltz_hot: float, boltz_cold: float) -> tuple[float, float]:
+    """Both factors as floats; boltz_cold may be 0, the deep-cold underflow limit."""
+    boltz_hot, boltz_cold = float(boltz_hot), float(boltz_cold)
+    if not 0.0 < boltz_hot < 1.0:
+        raise ValueError("boltz_hot must lie strictly between 0 and 1")
+    if not 0.0 <= boltz_cold < 1.0:
+        raise ValueError("boltz_cold must lie in [0, 1)")
+    return boltz_hot, boltz_cold
 
 
 def _solve_flow_balance(
-    shape: SimplePermSpec, boltz_hot: np.ndarray, boltz_cold: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Catalyst populations and block transfer at each point of two 1-d
-    Boltzmann-factor arrays.
+    d: int, n: np.ndarray, boltz_hot: np.ndarray, boltz_cold: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Catalyst populations and block transfer of every (d - n, n) split at
+    each point of two 1-d Boltzmann-factor arrays.
 
     With N = 1/((1 + bh)(1 + bc)) block k balances N*bh*p_k - N*x*p_{k+1} =
-    transfer (p_d = p_0), with x = 1 for the m ground-dropping blocks and
-    x = bc for the n cold-raising ones.  These two-term recurrences give every
-    population as a_k*p_0 + c_k*v, v = transfer/(N*max(bh, bc)); the balance
-    they leave out and the normalisation fix (p_0, v) by Cramer's rule.  The
-    hot segment runs forward from p_0 in powers of bh; the cold segment runs
-    backward from p_0 in powers of bc/bh when bc <= bh and forward from p_m in
-    powers of bh/bc otherwise, so no power or partial sum grows.
+    transfer (p_d = p_0), with x = 1 for the m = d - n ground-dropping blocks
+    and x = bc for the n cold-raising ones.  These two-term recurrences give
+    every population as a_k*p_0 + c_k*v, v = transfer/(N*max(bh, bc)); the
+    balance they leave out and the normalisation fix (p_0, v) by Cramer's
+    rule.  The hot segment runs forward from p_0 in powers of bh; the cold
+    segment runs backward from p_0 in powers of bc/bh when bc <= bh and
+    forward from p_m in powers of bh/bc otherwise, so no power or partial sum
+    grows.  Splits index one table of powers per point; backward, block k's
+    cold coefficients sit at j = d - k for every split (one shared slice),
+    forward each split reads its own window, from its m.
 
-    Returns unclipped (populations (count, d), transfer, feasible); feasible
-    means finite with no population below -NEGATIVE_POPULATION_TOL.
+    Yields (n, unclipped populations (points, splits, d), transfer, feasible)
+    for consecutive blocks of the splits `n`, each of at most
+    SPLIT_BLOCK_ENTRIES populations; feasible means finite with no population
+    below -NEGATIVE_POPULATION_TOL.  Each number equals a one-split solve's.
     """
     bh = np.asarray(boltz_hot, dtype=float)[:, None]
     bc = np.asarray(boltz_cold, dtype=float)[:, None]
-    m, n = shape.m, shape.n
+    splits = n.tolist()
     top = np.maximum(bh, bc)
     backward = bc <= bh
-    zero = np.zeros(bh.shape)  # cumsums from a leading 0 sum the powers below k (j)
-    # hot segment, blocks 0..m: p_k = bh^k p_0 - top*S_k v
-    hot_a = bh ** np.arange(m + 1)
-    hot_c = -top * np.cumsum(np.concatenate([zero, hot_a[:, :-1]], axis=1), axis=1)
-    # cold segment, j = 0..n steps: backward p_{d-j} = r^j p_0 + R_j v,
-    # forward p_{m+j} = r^j p_m - R_j v
-    cold_pow = (np.minimum(bh, bc) / top) ** np.arange(n + 1)
-    cold_sum = np.cumsum(np.concatenate([zero, cold_pow[:, :-1]], axis=1), axis=1)
-    fwd_a = cold_pow * hot_a[:, -1:]
-    fwd_c = cold_pow * hot_c[:, -1:] - cold_sum
-    a = np.concatenate(
-        [hot_a, np.where(backward, cold_pow[:, n - 1 : 0 : -1], fwd_a[:, 1:n])], axis=1
-    )
-    c = np.concatenate(
-        [hot_c, np.where(backward, cold_sum[:, n - 1 : 0 : -1], fwd_c[:, 1:n])], axis=1
-    )
-    # the left-out balance: p_m from both segments (backward), p_d = p_0 (forward)
-    close_a = np.where(backward, hot_a[:, -1:] - cold_pow[:, -1:], fwd_a[:, -1:] - 1.0)
-    close_c = np.where(backward, hot_c[:, -1:] - cold_sum[:, -1:], fwd_c[:, -1:])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        det = close_a * c.sum(axis=1, keepdims=True) - close_c * a.sum(axis=1, keepdims=True)
-        p_0 = -close_c / det
-        v = close_a / det
-        pops = a * p_0 + c * v
-        transfer = (v * top / ((1.0 + bh) * (1.0 + bc)))[:, 0]
-    # det == 0 leaves p_0 = pops[:, 0] non-finite, so finite pops imply a finite transfer
-    feasible = np.isfinite(pops).all(axis=1) & (pops.min(axis=1) >= -NEGATIVE_POPULATION_TOL)
-    return pops, transfer, feasible
+    # [a; c] tables, S_j = sum of the powers below j (R_j in the cold segment):
+    # hot[:, :, k] = [bh^k; -top*S_k] gives blocks 0..m, p_k = bh^k p_0 - top*S_k v;
+    # cold[:, :, j] = [r^j; R_j], j steps from either end of the cold segment:
+    # backward p_{d-j} = r^j p_0 + R_j v, forward p_{m+j} = r^j p_m - R_j v
+    hot = np.empty((2, bh.size, d - min(splits) + 1))
+    cold = np.empty((2, bh.size, max(splits) + 1))
+    for table, base in ((hot, bh), (cold, np.minimum(bh, bc) / top)):
+        np.power(base, np.arange(table.shape[2]), out=table[0])
+        table[1, :, 0] = 0.0
+        np.cumsum(table[0, :, :-1], axis=1, out=table[1, :, 1:])
+    hot[1] *= -top
+    step = max(1, SPLIT_BLOCK_ENTRIES // (bh.size * d))
+    for start in range(0, n.size, step):
+        block_n = n[start : start + step]
+        block_m = d - block_n
+        lo = d - max(splits[start : start + step])
+        hi = d - min(splits[start : start + step])
+        # columns lo+1..d-1: hot up to each split's m, cold past it
+        cols = np.arange(lo + 1, d)
+        end = hot.take(block_m, axis=2)
+        last = cold.take(block_n, axis=2)
+        steps = cold.take(cols - block_m[:, None], axis=2, mode="clip")  # j < 0 -> 0
+        forward = steps[0] * end[..., None]
+        forward[1] -= steps[1]
+        ac = np.empty((2, bh.size, block_n.size, d))
+        ac[..., : lo + 1] = hot[:, :, None, : lo + 1]
+        ac[..., lo + 1 :] = np.where(
+            backward[:, :, None], cold[:, :, None, d - lo - 1 : 0 : -1], forward
+        )
+        np.copyto(
+            ac[..., lo + 1 : hi + 1], hot[:, :, None, lo + 1 : hi + 1],
+            where=cols[: hi - lo] <= block_m[:, None],
+        )
+        # the left-out balance: p_m from both segments (backward), p_d = p_0 (forward)
+        close = last[0] * end
+        close[0] -= 1.0
+        close[1] -= last[1]
+        close = np.where(backward, end - last, close)
+        # row sums over rows of length d, as a one-split solve takes them
+        sums = ac.reshape(-1, d).sum(axis=1).reshape(end.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = close[0] * sums[1] - close[1] * sums[0]
+            p_0 = -close[1] / det
+            v = close[0] / det
+            pops = ac[0] * p_0[:, :, None] + ac[1] * v[:, :, None]
+            transfer = v * top / ((1.0 + bh) * (1.0 + bc))
+        # det == 0 leaves p_0 = pops[..., 0] non-finite, so finite pops imply a finite transfer
+        feasible = np.isfinite(pops).all(axis=2) & (
+            pops.min(axis=2) >= -NEGATIVE_POPULATION_TOL
+        )
+        yield block_n, pops, transfer, feasible
+
+
+def _catalyst_state(pops: np.ndarray, transfer: float, feasible: bool) -> CatalystState:
+    """The catalyst of one solved split, or the error its solve calls for."""
+    if not feasible:
+        if not np.isfinite(pops).all():
+            raise ValueError("singular flow system")
+        raise InfeasibleCatalystError(
+            f"infeasible catalyst: solved population {pops.min():.3e} is negative"
+        )
+    return CatalystState(np.clip(pops, 0.0, None), transfer)
 
 
 def solve_catalyst_state(
@@ -216,18 +236,9 @@ def solve_catalyst_state(
     than 1e-12 mean no valid catalyst exists for these parameters and raise
     InfeasibleCatalystError; tinier negatives are clipped to zero.
     """
-    bh = _check_boltzmann(boltz_hot, "boltz_hot")
-    bc = _check_boltzmann(boltz_cold, "boltz_cold")
-    (pops,), (transfer,), (feasible,) = _solve_flow_balance(
-        shape, np.array([bh]), np.array([bc])
-    )
-    if not feasible:
-        if not np.isfinite(pops).all():
-            raise ValueError("singular flow system")
-        raise InfeasibleCatalystError(
-            f"infeasible catalyst: solved population {pops.min():.3e} is negative"
-        )
-    return CatalystState(np.clip(pops, 0.0, None), transfer)
+    boltz = np.array(_check_boltzmann(boltz_hot, boltz_cold))[:, None]
+    [(_, pops, transfer, feasible)] = _solve_flow_balance(shape.d, np.array([shape.n]), *boltz)
+    return _catalyst_state(pops[0, 0], transfer[0, 0], feasible[0, 0])
 
 
 def delta_p_closed_form(
@@ -239,8 +250,7 @@ def delta_p_closed_form(
     those points are refused and callers are directed to the linear solver,
     which has no pole there.
     """
-    ah = _check_boltzmann(boltz_hot, "boltz_hot")
-    ac = _check_boltzmann(boltz_cold, "boltz_cold")
+    ah, ac = _check_boltzmann(boltz_hot, boltz_cold)
     if abs(ah - ac) < 1e-13 or abs(1.0 - ah) < 1e-13:
         raise DegeneratePointError("use linear solver at degenerate point")
     m, n = shape.m, shape.n
@@ -261,6 +271,25 @@ def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) 
     return float(eta)
 
 
+def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> np.ndarray:
+    """Validated exp(-beta*omega) of both excited qubit levels, as [[bh], [bc]]."""
+    if not (omega_h > 0.0 and omega_c > 0.0):
+        raise ValueError("level spacings must be positive")
+    bh, bc = math.exp(-beta.beta_h * omega_h), math.exp(-beta.beta_c * omega_c)
+    return np.array(_check_boltzmann(bh, bc))[:, None]
+
+
+def _heats(d, n, omega_h: float, omega_c: float, delta_p):
+    """(Q_h, Q_c) = (d*omega_h, -n*omega_c) * delta_p, for numbers or arrays."""
+    return d * omega_h * delta_p, -n * omega_c * delta_p
+
+
+def _perm_report(shape: SimplePermSpec, omega_h, omega_c, delta_p: float) -> CycleReport:
+    efficiency = _rational_efficiency(shape, omega_h, omega_c) if delta_p != 0.0 else None
+    heats = _heats(shape.d, shape.n, omega_h, omega_c, delta_p)
+    return CycleReport.from_heats(*heats, efficiency=efficiency)
+
+
 def simple_perm_report(
     shape: SimplePermSpec,
     omega_h: float,
@@ -275,20 +304,10 @@ def simple_perm_report(
     reported whenever the block transfer is nonzero, even at deep-cold
     parameters where the heats themselves are astronomically small.
     """
-    omega_h = float(omega_h)
-    omega_c = float(omega_c)
-    if not (omega_h > 0.0 and omega_c > 0.0):
-        raise ValueError("level spacings must be positive")
-    boltz_hot = math.exp(-beta.beta_h * omega_h)
-    boltz_cold = math.exp(-beta.beta_c * omega_c)
+    omega_h, omega_c = float(omega_h), float(omega_c)
+    (boltz_hot,), (boltz_cold,) = _qubit_boltzmann(omega_h, omega_c, beta)
     catalyst = solve_catalyst_state(shape, boltz_hot, boltz_cold)
-    heat_hot = shape.d * omega_h * catalyst.delta_p
-    heat_cold = -shape.n * omega_c * catalyst.delta_p
-    efficiency = None
-    if catalyst.delta_p != 0.0:
-        efficiency = _rational_efficiency(shape, omega_h, omega_c)
-    report = CycleReport.from_heats(heat_hot, heat_cold, efficiency=efficiency)
-    return report, catalyst
+    return _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst
 
 
 def sweep_simple_perms(
@@ -297,18 +316,25 @@ def sweep_simple_perms(
     omega_c: float,
     beta: InverseTemperaturePair,
 ) -> list[tuple[SimplePermSpec, CycleReport, CatalystState]]:
-    """Reports for every (m, n) split of a d-block catalyst, increasing n.
+    """Reports for every (m, n) split of a d-block catalyst, increasing n,
+    from one flow solve over all splits.
 
     Splits whose flow equations admit no nonnegative catalyst are skipped.
     """
+    d = int(catalyst_dim)
+    if d < 1:
+        return []
+    omega_h, omega_c = float(omega_h), float(omega_c)
+    boltz = _qubit_boltzmann(omega_h, omega_c, beta)
     out = []
-    for n in range(1, int(catalyst_dim) + 1):
-        shape = SimplePermSpec(int(catalyst_dim) - n, n)
-        try:
-            report, catalyst = simple_perm_report(shape, omega_h, omega_c, beta)
-        except InfeasibleCatalystError:
-            continue
-        out.append((shape, report, catalyst))
+    for block_n, pops, transfer, feasible in _solve_flow_balance(d, np.arange(1, d + 1), *boltz):
+        for n, row, delta_p, ok in zip(block_n.tolist(), pops[0], transfer[0], feasible[0]):
+            try:
+                catalyst = _catalyst_state(row, delta_p, ok)
+            except InfeasibleCatalystError:
+                continue
+            shape = SimplePermSpec(d - n, n)
+            out.append((shape, _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst))
     return out
 
 
@@ -479,8 +505,8 @@ def regime_map(
         d, n = quality.numerator, quality.denominator
         flags = np.zeros(exponent_product.shape, dtype=bool)
         if d >= n:
-            _, transfer, solvable = _solve_flow_balance(
-                SimplePermSpec(d - n, n), boltz_hot, boltz_cold
+            [(_, _, transfer, solvable)] = _solve_flow_balance(
+                d, np.array([n]), boltz_hot, boltz_cold
             )
             transfer = np.where(solvable, transfer, 0.0).reshape(flags.shape)
             work = (d * 1.0 - n * freq) * transfer
@@ -528,8 +554,12 @@ def fig_work_vs_cold_swaps(
             Spectrum.trivial(1), Spectrum.qubit(omega_h), Spectrum.qubit(omega_c)
         ),
     )
-    rows = []
-    for n in range(1, d + 1):
-        report, _ = simple_perm_report(SimplePermSpec(d - n, n), omega_h, omega_c, beta)
-        rows.append((n, report.work, baseline))
-    return rows
+    boltz = _qubit_boltzmann(omega_h, omega_c, beta)
+    splits = np.arange(1, d + 1)
+    transfers = []
+    for _, pops, transfer, feasible in _solve_flow_balance(d, splits, *boltz):
+        if not feasible.all():  # raise for the first split without a catalyst
+            _catalyst_state(pops[0, np.argmin(feasible[0])], 0.0, False)
+        transfers.append(transfer[0])
+    heat_hot, heat_cold = _heats(d, splits, omega_h, omega_c, np.concatenate(transfers))
+    return list(zip(splits.tolist(), (heat_hot + heat_cold).tolist(), [baseline] * d))

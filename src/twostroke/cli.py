@@ -5,8 +5,9 @@ coherence-check.  Scalar results are printed as JSON, tables as CSV; every
 float is rendered with 12 significant digits so emitted files are stable
 byte-for-byte across runs and platforms.
 
-Exit codes: 0 success, 2 configuration error or non-finite result, 3
-infeasible catalyst or no engine regime, 4 size or iteration guard exceeded.
+Exit codes: 0 success, 2 configuration error (any other ValueError) or
+non-finite result, 3 infeasible catalyst or no engine regime, 4 size or
+iteration guard exceeded or an internal fault (a RuntimeError).
 """
 
 from __future__ import annotations
@@ -137,11 +138,7 @@ def _parse_stroke(args) -> Stroke:
     if getattr(args, "otto", False):
         return "otto"
     if getattr(args, "simple", None):
-        m, n = _parse_int_pair(args.simple, "--simple")
-        try:
-            return catalysis.SimplePermSpec(m, n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return catalysis.SimplePermSpec(*_parse_int_pair(args.simple, "--simple"))
     text = args.perm.strip().lower()
     if text == "identity":
         return permutations.PermutationMap.identity(4)
@@ -195,10 +192,7 @@ def resolve_engine(args) -> EngineConfig:
         beta_h, beta_c = args.beta_h, args.beta_c
     if not (0 < omega_h < math.inf and 0 < omega_c < math.inf):
         raise ConfigError("level spacings must be positive and finite")
-    try:
-        beta = thermo.InverseTemperaturePair(beta_h, beta_c)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    beta = thermo.InverseTemperaturePair(beta_h, beta_c)
     stroke = _parse_stroke(args)
     catalyst_dim = getattr(args, "catalyst_dim", None)
     if catalyst_dim is None:
@@ -242,14 +236,9 @@ def cmd_report(args) -> int:
         raise ConfigError("choose exactly one of --otto, --simple M,N or --perm IMAGE")
     if isinstance(config.stroke, catalysis.SimplePermSpec):
         shape = config.stroke
-        try:
-            report, catalyst = catalysis.simple_perm_report(
-                shape, config.omega_h, config.omega_c, config.beta
-            )
-        except InfeasibleCatalystError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        report, catalyst = catalysis.simple_perm_report(
+            shape, config.omega_h, config.omega_c, config.beta
+        )
         payload = {
             "report": report.to_dict(),
             "catalyst": {
@@ -308,15 +297,12 @@ def cmd_optimize(args) -> int:
 
 def cmd_regime_map(args) -> int:
     qualities = [part.strip() for part in args.d_over_n.split(",") if part.strip()]
-    try:
-        result = catalysis.regime_map(
-            qualities,
-            (args.beta_ratio_min, args.beta_ratio_max),
-            (args.freq_ratio_min, args.freq_ratio_max),
-            args.resolution,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = catalysis.regime_map(
+        qualities,
+        (args.beta_ratio_min, args.beta_ratio_max),
+        (args.freq_ratio_min, args.freq_ratio_max),
+        args.resolution,
+    )
     lines = [
         "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)",
         "# normalisation: beta_h = 1 and omega_h = 1 at every grid point",
@@ -346,12 +332,9 @@ def cmd_regime_map(args) -> int:
 
 
 def cmd_fig5(args) -> int:
-    try:
-        rows = catalysis.fig_work_vs_cold_swaps(
-            args.catalyst_dim, args.bh_wh, args.ratio, args.freq_ratio
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    rows = catalysis.fig_work_vs_cold_swaps(
+        args.catalyst_dim, args.bh_wh, args.ratio, args.freq_ratio
+    )
     lines = ["n,W_catalytic,W_noncatalytic_baseline"]
     for n, catalytic, baseline in rows:
         lines.append(f"{n},{fmt12(catalytic)},{fmt12(baseline)}")
@@ -376,17 +359,12 @@ def cmd_lp_bound(args) -> int:
         populations = [1.0 / catalyst_dim] * catalyst_dim
     hot = thermo.Spectrum.qubit(omega_h)
     cold = thermo.Spectrum.qubit(omega_c)
-    try:
-        initial = thermo.product_state(
-            populations,
-            thermo.gibbs_populations(hot, beta.beta_h),
-            thermo.gibbs_populations(cold, beta.beta_c),
-        )
-        hamiltonian = thermo.combined_spectrum(
-            thermo.Spectrum.trivial(catalyst_dim), hot, cold
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    initial = thermo.product_state(
+        populations,
+        thermo.gibbs_populations(hot, beta.beta_h),
+        thermo.gibbs_populations(cold, beta.beta_c),
+    )
+    hamiltonian = thermo.combined_spectrum(thermo.Spectrum.trivial(catalyst_dim), hot, cold)
     solution = lp.lp_work_upper_bound(hamiltonian, initial, catalyst_dim)
     _emit_json(solution.to_dict(), args.output)
     return 0
@@ -491,18 +469,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # overflow shows up as a non-finite result, which exits 2 on its own
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return args.func(args)
-    except ConfigError as exc:
+    except (ValueError, RuntimeError, CoherenceCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoEngineRegimeError, InfeasibleCatalystError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GuardExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except CoherenceCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (NoEngineRegimeError, InfeasibleCatalystError)):
+            return 3
+        if isinstance(exc, (GuardExceededError, RuntimeError)):
+            return 4
+        # ConfigError, or invalid input that a library call refused
+        return 1 if isinstance(exc, CoherenceCheckError) else 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 import math
 import warnings
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -18,6 +19,49 @@ def solved_product_state(shape, omega_h, omega_c, beta):
     hot = ts.gibbs_populations(ts.Spectrum.qubit(omega_h), beta.beta_h)
     cold = ts.gibbs_populations(ts.Spectrum.qubit(omega_c), beta.beta_c)
     return ts.product_state(catalyst.populations, hot, cold), catalyst
+
+
+class FlowAccount(NamedTuple):
+    """Net population leaving the excited hot / excited cold subspaces."""
+
+    hot_flow: float
+    cold_flow: float
+
+
+def subspace_flows(initial, final):
+    """Net population flow out of the excited hot and cold subspaces.
+
+    For qubit hot/cold factors each heat is this flow times the level
+    spacing, which is what makes simple permutations analysable by counting
+    arrows instead of energies.
+    """
+    if initial.basis_shape != final.basis_shape:
+        raise ValueError("basis shapes differ")
+    _, d_h, d_c = initial.basis_shape
+    if d_h != 2 or d_c != 2:
+        raise ValueError("subspace flows are defined for qubit hot/cold factors")
+    diff = initial.grid() - final.grid()
+    return FlowAccount(float(diff[:, 1, :].sum()), float(diff[:, :, 1].sum()))
+
+
+def solve_splits(d, n, boltz_hot, boltz_cold):
+    """One batched flow solve, its blocks joined: populations (points, splits,
+    d), transfer and feasible (points, splits), with the solved n."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = list(
+            catalysis._solve_flow_balance(
+                d,
+                np.asarray(n),
+                np.asarray(boltz_hot, dtype=float),
+                np.asarray(boltz_cold, dtype=float),
+            )
+        )
+    solved_n, pops, transfer, feasible = zip(*blocks)
+    return (
+        np.concatenate(solved_n),
+        *(np.concatenate(part, axis=1) for part in (pops, transfer, feasible)),
+    )
 
 
 def flow_residuals(shape, ah, ac, state):
@@ -79,7 +123,7 @@ class TestBuildSimplePerm:
 class TestSubspaceFlows:
     def test_identity(self):
         state = ts.product_state([0.5, 0.5], [0.7, 0.3], [0.8, 0.2])
-        flows = ts.subspace_flows(state, state)
+        flows = subspace_flows(state, state)
         assert flows.hot_flow == 0.0 and flows.cold_flow == 0.0
 
     @pytest.mark.parametrize("m,n", [(4, 1), (2, 3), (0, 2), (1, 1)])
@@ -88,7 +132,7 @@ class TestSubspaceFlows:
         beta = ts.InverseTemperaturePair(1.0, 6.0)
         initial, catalyst = solved_product_state(shape, 1.0, 1.2, beta)
         final = ts.apply_permutation(initial, ts.build_simple_perm(shape))
-        flows = ts.subspace_flows(initial, final)
+        flows = subspace_flows(initial, final)
         assert flows.hot_flow == pytest.approx(shape.d * catalyst.delta_p, abs=1e-13)
         assert flows.cold_flow == pytest.approx(-shape.n * catalyst.delta_p, abs=1e-13)
 
@@ -100,7 +144,7 @@ class TestSubspaceFlows:
             shape = ts.SimplePermSpec(m, n)
             initial, _ = solved_product_state(shape, omega_h, omega_c, beta)
             final = ts.apply_permutation(initial, ts.build_simple_perm(shape))
-            flows = ts.subspace_flows(initial, final)
+            flows = subspace_flows(initial, final)
             report = ts.stroke_report(
                 initial,
                 final,
@@ -114,7 +158,7 @@ class TestSubspaceFlows:
     def test_requires_qubits(self):
         state = ts.product_state([1.0], [0.5, 0.3, 0.2], [1.0, 0.0])
         with pytest.raises(ValueError):
-            ts.subspace_flows(state, state)
+            subspace_flows(state, state)
 
 
 class TestSolveCatalystState:
@@ -135,17 +179,28 @@ class TestSolveCatalystState:
         assert state.delta_p == pytest.approx(norm * (0.5 - 0.2), abs=1e-15)
 
     def test_boltzmann_range_enforced(self):
-        with pytest.raises(ValueError):
-            ts.solve_catalyst_state(ts.SimplePermSpec(1, 1), 1.0, 0.5)
-        with pytest.raises(ValueError):
-            ts.solve_catalyst_state(ts.SimplePermSpec(1, 1), 0.5, 0.0)
+        shape = ts.SimplePermSpec(2, 3)
+        for boltz_hot, boltz_cold in [
+            (1.0, 0.5), (0.0, 0.5), (-0.1, 0.5), (math.nan, 0.5),
+            (0.5, 1.0), (0.5, -0.1), (0.5, math.nan), (0.5, math.inf),
+        ]:
+            with pytest.raises(ValueError):
+                ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
+        # boltz_cold = 0 is the deep-cold limit, which the solve takes smoothly
+        boltz_hot = math.exp(-12.0)
+        limit = ts.solve_catalyst_state(shape, boltz_hot, 0.0)
+        assert limit.populations.min() >= 0.0
+        assert np.abs(flow_residuals(shape, boltz_hot, 0.0, limit)).max() < 1e-15
+        for boltz_cold in (1e-30, 1e-300, 5e-324):
+            near = ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
+            assert near.delta_p == limit.delta_p
 
     def test_negative_population_guard(self, monkeypatch):
         # no in-range parameters were found to produce a negative catalyst
         # (randomised sweeps stay nonnegative), so the guard is exercised by
         # forcing a bad solution through the flow solver
-        def fake_solve(shape, boltz_hot, boltz_cold):
-            return np.array([[1.1, -0.1]]), np.array([0.0]), np.array([False])
+        def fake_solve(d, n, boltz_hot, boltz_cold):
+            yield n, np.array([[[1.1, -0.1]]]), np.array([[0.0]]), np.array([[False]])
 
         monkeypatch.setattr(catalysis, "_solve_flow_balance", fake_solve)
         with pytest.raises(ts.InfeasibleCatalystError, match="infeasible catalyst"):
@@ -160,26 +215,23 @@ class TestFlowBalanceSolver:
 
     @staticmethod
     def solve(shape, boltz_hot, boltz_cold):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return catalysis._solve_flow_balance(
-                shape, np.asarray(boltz_hot, dtype=float), np.asarray(boltz_cold, dtype=float)
-            )
+        _, pops, transfer, feasible = solve_splits(shape.d, [shape.n], boltz_hot, boltz_cold)
+        return pops, transfer, feasible
 
     @pytest.mark.parametrize("ah, ac", PAIRS)
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_balances_and_closed_form(self, m, n, ah, ac):
         shape = ts.SimplePermSpec(m, n)
         pops, transfer, feasible = self.solve(shape, [ah], [ac])
-        assert pops.shape == (1, shape.d) and transfer.shape == (1,)
-        assert feasible[0]
+        assert pops.shape == (1, 1, shape.d) and transfer.shape == (1, 1)
+        assert feasible[0, 0]
         assert np.isfinite(pops).all() and np.isfinite(transfer).all()
         assert pops.min() >= 0.0
         assert abs(pops.sum() - 1.0) < 1e-12
-        state = ts.CatalystState(pops[0], transfer[0])
+        state = ts.CatalystState(pops[0, 0], transfer[0, 0])
         assert np.abs(flow_residuals(shape, ah, ac, state)).max() < 1e-12
         if ah != ac:  # the closed form's pole
-            assert abs(transfer[0] - ts.delta_p_closed_form(shape, ah, ac)) <= 1e-12
+            assert abs(transfer[0, 0] - ts.delta_p_closed_form(shape, ah, ac)) <= 1e-12
 
     def test_batch_mixes_directions(self):
         shape = ts.SimplePermSpec(4, 3)
@@ -189,6 +241,53 @@ class TestFlowBalanceSolver:
             one_pops, one_transfer, one_feasible = self.solve(shape, [ah], [ac])
             assert np.array_equal(pops[k], one_pops[0])
             assert transfer[k] == one_transfer[0] and feasible[k] == one_feasible[0]
+
+    @pytest.mark.parametrize("direction", ["backward", "forward", "equal"])
+    def test_batched_splits_match_single_splits(self, rng, direction):
+        # every split of one batched solve, in any order and across block
+        # boundaries (d = 300 at four points spans several blocks), equals
+        # its own one-split solve bit for bit
+        for d in [*rng.integers(1, 81, size=6).tolist(), 300]:
+            boltz_hot = rng.uniform(0.05, 0.95, size=4)
+            boltz_cold = {
+                "backward": boltz_hot * rng.uniform(0.0, 1.0, size=4),
+                "forward": boltz_hot + (1.0 - boltz_hot) * rng.uniform(0.0, 1.0, size=4),
+                "equal": boltz_hot,
+            }[direction]
+            order = rng.permutation(d) + 1
+            solved_n, pops, transfer, feasible = solve_splits(d, order, boltz_hot, boltz_cold)
+            assert solved_n.tolist() == order.tolist()
+            assert pops.shape == (4, d, d) and transfer.shape == feasible.shape == (4, d)
+            for k, n in enumerate(order.tolist()):
+                one = solve_splits(d, [n], boltz_hot, boltz_cold)[1:]
+                for batched, single in zip((pops, transfer, feasible), one):
+                    assert np.array_equal(batched[:, k], single[:, 0], equal_nan=True)
+
+    def test_infeasible_split_handling(self, monkeypatch):
+        # the split n = 2 comes back with a negative population: the sweep
+        # skips it and the work curve refuses it, as one-split solves do
+        solve = catalysis._solve_flow_balance
+
+        def one_bad_split(d, n, boltz_hot, boltz_cold):
+            for block_n, pops, transfer, feasible in solve(d, n, boltz_hot, boltz_cold):
+                bad = block_n == 2
+                pops[:, bad, 0] = -0.1
+                feasible[:, bad] = False
+                yield block_n, pops, transfer, feasible
+
+        monkeypatch.setattr(catalysis, "_solve_flow_balance", one_bad_split)
+        beta = ts.InverseTemperaturePair(1.0, 8.0)
+        swept = ts.sweep_simple_perms(4, 1.0, 1.5, beta)
+        assert [shape.n for shape, _, _ in swept] == [1, 3, 4]
+        with pytest.raises(ts.InfeasibleCatalystError, match="-1.000e-01"):
+            ts.fig_work_vs_cold_swaps(4, 1.0, 12.0, 1.5)
+
+    def test_blocks_bound_memory(self):
+        d = 300
+        blocks = list(catalysis._solve_flow_balance(d, np.arange(1, d + 1), [0.6], [0.2]))
+        assert len(blocks) > 1
+        assert all(pops.size <= catalysis.SPLIT_BLOCK_ENTRIES for _, pops, _, _ in blocks)
+        assert np.concatenate([n for n, _, _, _ in blocks]).tolist() == list(range(1, d + 1))
 
     def test_work_curve_at_dimension_2000(self):
         rows = ts.fig_work_vs_cold_swaps(2000, 0.25, 8, 0.7)
@@ -462,6 +561,19 @@ class TestRegimeMap:
 
 
 class TestFigWorkVsColdSwaps:
+    def test_one_flow_solve_per_curve(self, monkeypatch):
+        calls = []
+        solve = catalysis._solve_flow_balance
+
+        def counted(*args):
+            calls.append(args[1].size)
+            return solve(*args)
+
+        monkeypatch.setattr(catalysis, "_solve_flow_balance", counted)
+        rows = ts.fig_work_vs_cold_swaps(120, 0.25, 8.0, 0.7)
+        assert len(rows) == 120
+        assert calls == [120]
+
     def test_reference_curve_signs(self):
         rows = ts.fig_work_vs_cold_swaps(30, 0.25, 8.0, 0.5)
         assert [n for n, _, _ in rows] == list(range(1, 31))

@@ -110,8 +110,8 @@ class TestConfigValidation:
         [
             ("--omega-h", "inf"),
             ("--omega-h", "nan"),
-            # the cold Boltzmann factor underflows to 0 and is rejected
-            ("--beta-c", "1e308"),
+            # the hot Boltzmann factor underflows to 0 and is rejected
+            ("--omega-h", "1e3"),
         ],
     )
     def test_out_of_range_report_exits_cleanly(self, capsys, flag, value):
@@ -145,6 +145,23 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deep_cold_limit_solves(self, capsys):
+        # exp(-beta_c*omega_c) underflows to 0 at both beta_c; the flow solve
+        # takes that limit, so both print the same stroke
+        outs = []
+        for beta_c in ("1e308", "1e3"):
+            code, out, err = run_cli(
+                capsys,
+                "report", "--beta-h", "6", "--beta-c", beta_c,
+                "--omega-h", "2", "--omega-c", "3", "--simple", "2,3",
+            )
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
+        payload = json.loads(outs[0])
+        assert payload["catalyst"]["delta_p"] == 2.3194800755e-16
+        assert payload["report"]["efficiency"] == 0.1
 
     def test_mixed_forms_rejected(self, capsys):
         code, _, err = run_cli(
@@ -309,6 +326,22 @@ class TestFig5:
         code, _, err = run_cli(capsys, "fig5", "--ratio", "0.4", "--freq-ratio", "0.5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            # the README example: bc < bh, the cold segment runs backward
+            ("fig5_dim30.csv", ["--ratio", "8", "--freq-ratio", "0.7"]),
+            # bc > bh, the cold segment runs forward
+            ("fig5_dim30_forward.csv", ["--ratio", "0.5", "--freq-ratio", "0.4"]),
+        ],
+    )
+    def test_matches_golden(self, capsys, golden, argv):
+        code, out, _ = run_cli(
+            capsys, "fig5", "--catalyst-dim", "30", "--bh-wh", "0.25", *argv
+        )
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
 
 class TestLpBound:
     def test_trivial_catalyst_matches_ergotropy(self, capsys):
@@ -370,6 +403,20 @@ class TestLpBound:
         assert code == 4
         assert out == ""
         assert err == "error: simplex iteration limit exceeded\n"
+
+    def test_internal_fault_exit_code(self, capsys, monkeypatch):
+        def unbounded(*args, **kwargs):
+            raise RuntimeError("phase one reported unbounded; this is a bug")
+
+        monkeypatch.setattr(simplex, "simplex_solve", unbounded)
+        code, out, err = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", "1", "--beta-c", "3",
+            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "2",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: phase one reported unbounded; this is a bug\n"
 
     @pytest.mark.parametrize(
         "beta_h, beta_c, omega_h",
