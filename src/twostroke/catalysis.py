@@ -268,7 +268,11 @@ def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) 
     eta = 1 - Fraction(shape.n) * Fraction(float(omega_c)) / (
         Fraction(shape.d) * Fraction(float(omega_h))
     )
-    return float(eta)
+    try:
+        return float(eta)
+    except OverflowError:
+        # eta < 1, so it can leave the float range only downwards
+        return -math.inf
 
 
 def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> np.ndarray:

@@ -5,9 +5,11 @@ coherence-check.  Scalar results are printed as JSON, tables as CSV; every
 float is rendered with 12 significant digits so emitted files are stable
 byte-for-byte across runs and platforms.
 
-Exit codes: 0 success, 2 configuration error (any other ValueError) or
-non-finite result, 3 infeasible catalyst or no engine regime, 4 size or
-iteration guard exceeded or an internal fault (a RuntimeError).
+Exit codes: 0 success, 2 usage or configuration error (any other ValueError)
+or non-finite result, 3 infeasible catalyst or no engine regime, 4 size or
+iteration guard exceeded or an internal fault (a RuntimeError).  A failure
+prints one `error:` line and no stdout, except optimize's exit 3 (its JSON).
+`report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -93,69 +94,8 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-Stroke = Union[None, str, catalysis.SimplePermSpec, permutations.PermutationMap]
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Validated engine parameters shared by the stroke-level subcommands.
-
-    `stroke` is None (no stroke selected), the string "otto" for the bare
-    hot-cold swap, a SimplePermSpec for a catalytic simple permutation, or an
-    explicit PermutationMap.  Explicit permutations and the bare swap run
-    without a catalyst.
-    """
-
-    omega_h: float
-    omega_c: float
-    beta: thermo.InverseTemperaturePair
-    catalyst_dim: int = 1
-    stroke: Stroke = None
-
-    def __post_init__(self) -> None:
-        if self.catalyst_dim < 1:
-            raise ConfigError("catalyst dimension must be at least 1")
-        if isinstance(self.stroke, catalysis.SimplePermSpec):
-            if self.stroke.d != self.catalyst_dim:
-                raise ConfigError(
-                    f"--catalyst-dim {self.catalyst_dim} conflicts with --simple "
-                    f"{self.stroke.m},{self.stroke.n} (needs {self.stroke.d})"
-                )
-        elif self.stroke is not None and self.catalyst_dim != 1:
-            raise ConfigError(
-                "--otto and --perm run without a catalyst (--catalyst-dim 1)"
-            )
-
-
-def _parse_stroke(args) -> Stroke:
-    chosen = [
-        flag for flag in ("otto", "simple", "perm") if getattr(args, flag, None)
-    ]
-    if not chosen:
-        return None
-    if len(chosen) != 1:
-        raise ConfigError("choose exactly one of --otto, --simple M,N or --perm IMAGE")
-    if getattr(args, "otto", False):
-        return "otto"
-    if getattr(args, "simple", None):
-        return catalysis.SimplePermSpec(*_parse_int_pair(args.simple, "--simple"))
-    text = args.perm.strip().lower()
-    if text == "identity":
-        return permutations.PermutationMap.identity(4)
-    try:
-        image = tuple(int(part) for part in args.perm.split(","))
-        if len(image) != 4:
-            raise ConfigError("--perm expects an image of the 4 working-body levels")
-        return permutations.PermutationMap(image)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(
-            f"--perm expects 'identity' or a valid image list: {args.perm!r}"
-        ) from exc
-
-
-def resolve_engine(args) -> EngineConfig:
+def resolve_engine(args) -> tuple[float, float, thermo.InverseTemperaturePair]:
+    """(omega_h, omega_c, beta) from the explicit or the dimensionless flags."""
     dimensionless = args.bh_wh is not None or args.bc_wc is not None
     explicit = any(
         v is not None for v in (args.beta_h, args.beta_c, args.omega_h, args.omega_c)
@@ -192,12 +132,7 @@ def resolve_engine(args) -> EngineConfig:
         beta_h, beta_c = args.beta_h, args.beta_c
     if not (0 < omega_h < math.inf and 0 < omega_c < math.inf):
         raise ConfigError("level spacings must be positive and finite")
-    beta = thermo.InverseTemperaturePair(beta_h, beta_c)
-    stroke = _parse_stroke(args)
-    catalyst_dim = getattr(args, "catalyst_dim", None)
-    if catalyst_dim is None:
-        catalyst_dim = stroke.d if isinstance(stroke, catalysis.SimplePermSpec) else 1
-    return EngineConfig(float(omega_h), float(omega_c), beta, catalyst_dim, stroke)
+    return float(omega_h), float(omega_c), thermo.InverseTemperaturePair(beta_h, beta_c)
 
 
 def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
@@ -210,35 +145,27 @@ def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
         raise ConfigError(f"{name} expects integers, got {text!r}") from exc
 
 
-def _noncatalytic_stroke(
-    image: tuple[int, ...],
-    omega_h: float,
-    omega_c: float,
-    beta: thermo.InverseTemperaturePair,
-) -> thermo.CycleReport:
-    hot = thermo.gibbs_populations(thermo.Spectrum.qubit(omega_h), beta.beta_h)
-    cold = thermo.gibbs_populations(thermo.Spectrum.qubit(omega_c), beta.beta_c)
-    initial = thermo.product_state([1.0], hot, cold)
-    perm = permutations.PermutationMap(image)
-    final = permutations.apply_permutation(initial, perm)
-    return thermo.stroke_report(
-        initial,
-        final,
-        thermo.Spectrum.qubit(omega_h),
-        thermo.Spectrum.qubit(omega_c),
-        beta,
-    )
+def _parse_perm(text: str) -> tuple[int, ...]:
+    if text.strip().lower() == "identity":
+        return tuple(range(4))
+    try:
+        image = tuple(int(part) for part in text.split(","))
+        if len(image) == 4:
+            return permutations.PermutationMap(image).image
+    except ValueError as exc:
+        raise ConfigError(
+            f"--perm expects 'identity' or a valid image list: {text!r}"
+        ) from exc
+    raise ConfigError("--perm expects an image of the 4 working-body levels")
 
 
 def cmd_report(args) -> int:
-    config = resolve_engine(args)
-    if config.stroke is None:
+    omega_h, omega_c, beta = resolve_engine(args)
+    if sum(map(bool, (args.otto, args.simple, args.perm))) != 1:
         raise ConfigError("choose exactly one of --otto, --simple M,N or --perm IMAGE")
-    if isinstance(config.stroke, catalysis.SimplePermSpec):
-        shape = config.stroke
-        report, catalyst = catalysis.simple_perm_report(
-            shape, config.omega_h, config.omega_c, config.beta
-        )
+    if args.simple:
+        shape = catalysis.SimplePermSpec(*_parse_int_pair(args.simple, "--simple"))
+        report, catalyst = catalysis.simple_perm_report(shape, omega_h, omega_c, beta)
         payload = {
             "report": report.to_dict(),
             "catalyst": {
@@ -249,24 +176,20 @@ def cmd_report(args) -> int:
         }
         _emit_json(payload, args.output)
         return 0
-    if config.stroke == "otto":
-        report = _noncatalytic_stroke(
-            permutations.OTTO_SWAP_IMAGE, config.omega_h, config.omega_c, config.beta
-        )
-        if report.work <= thermo.MODE_TOL:
-            raise NoEngineRegimeError("no engine regime")
-        _emit_json(report.to_dict(), args.output)
-        return 0
-    report = _noncatalytic_stroke(
-        config.stroke.image, config.omega_h, config.omega_c, config.beta
+    image = permutations.OTTO_SWAP_IMAGE if args.otto else _parse_perm(args.perm)
+    hot, cold = thermo.Spectrum.qubit(omega_h), thermo.Spectrum.qubit(omega_c)
+    _, heat_hot, heat_cold = permutations.sweep_heats(
+        hot, cold, beta.beta_h, beta.beta_c, np.array([image])
     )
+    report = thermo.CycleReport.from_heats(heat_hot[0], heat_cold[0])
+    if args.otto and report.work <= thermo.MODE_TOL:
+        raise NoEngineRegimeError("no engine regime")
     _emit_json(report.to_dict(), args.output)
     return 0
 
 
 def cmd_table24(args) -> int:
-    config = resolve_engine(args)
-    omega_h, omega_c, beta = config.omega_h, config.omega_c, config.beta
+    omega_h, omega_c, beta = resolve_engine(args)
     rows = permutations.qubit_table(beta.beta_h, omega_h, beta.beta_c, omega_c)
     lines = ["perm_index,image,work,efficiency"]
     for row in rows:
@@ -277,11 +200,11 @@ def cmd_table24(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    config = resolve_engine(args)
+    omega_h, omega_c, beta = resolve_engine(args)
     result = permutations.optimal_noncatalytic(
-        thermo.Spectrum.qubit(config.omega_h),
-        thermo.Spectrum.qubit(config.omega_c),
-        config.beta,
+        thermo.Spectrum.qubit(omega_h),
+        thermo.Spectrum.qubit(omega_c),
+        beta,
         objective=args.objective,
     )
     payload = {
@@ -343,9 +266,10 @@ def cmd_fig5(args) -> int:
 
 
 def cmd_lp_bound(args) -> int:
-    config = resolve_engine(args)
-    omega_h, omega_c, beta = config.omega_h, config.omega_c, config.beta
-    catalyst_dim = config.catalyst_dim
+    omega_h, omega_c, beta = resolve_engine(args)
+    catalyst_dim = args.catalyst_dim
+    if catalyst_dim < 1:
+        raise ConfigError("catalyst dimension must be at least 1")
     if args.catalyst_populations:
         try:
             populations = [float(p) for p in args.catalyst_populations.split(",")]
@@ -387,8 +311,15 @@ def cmd_coherence_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it prints one `error:` line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twostroke",
         description="Two-stroke heat engine models, with and without a catalyst",
     )
@@ -401,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--perm", metavar="IMAGE", help="'identity' or explicit image list, e.g. 0,2,1,3"
     )
-    report.add_argument("--catalyst-dim", type=int, default=None)
     report.add_argument("--output")
     report.set_defaults(func=cmd_report)
 
@@ -463,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # overflow shows up as a non-finite result, which exits 2 on its own
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return args.func(args)

@@ -2,8 +2,9 @@
 
 For a diagonal initial state the extremal work strokes are permutations of
 the basis populations, so at desk scale the non-catalytic optimisation is an
-exhaustive sweep over the symmetric group.  The sweep is vectorised over all
-n! images at once; the guard keeps n at 9 or below (9! = 362880).
+exhaustive sweep over the symmetric group.  `sweep_heats`, the one evaluator
+of non-catalytic permutation strokes, is vectorised over any set of images;
+the guard keeps n at 9 or below (9! = 362880).
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .thermo import (
     PopulationVector,
     Spectrum,
     gibbs_populations,
-    product_state,
-    stroke_report,
 )
 
 MAX_SWEEP_DIMENSION = 9
@@ -105,33 +104,29 @@ def images_array(n: int) -> np.ndarray:
 
 
 def sweep_heats(
-    probs: np.ndarray,
-    energy_hot: np.ndarray,
-    energy_cold: np.ndarray,
+    hamiltonian_hot: Spectrum,
+    hamiltonian_cold: Spectrum,
+    beta_h: float,
+    beta_c: float,
     images: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(work, heat_hot, heat_cold) for every image row, in one shot.
+    """(work, heat_hot, heat_cold) of each permutation stroke on tau_h x tau_c.
 
-    `energy_hot`/`energy_cold` are the hot/cold marginal energies expanded to
-    the full flat basis.  The energy of the permuted state is a gather:
-    sum_x p[x] * E[image[x]].
+    `images` is a (k, n) array of images over the flat (hot, cold) basis.
+    Each heat is sum_x p_x (E_x - E_image[x]) with the hot or cold marginal
+    energy E, so a stroke that moves no population between different
+    energies reads exactly 0; work is the sum of the two heats.  The
+    temperatures are not ordered here, so any pair of positive betas works.
     """
-    final_hot = (energy_hot[images] * probs).sum(axis=1)
-    final_cold = (energy_cold[images] * probs).sum(axis=1)
-    heat_hot = energy_hot @ probs - final_hot
-    heat_cold = energy_cold @ probs - final_cold
+    probs = np.kron(
+        gibbs_populations(hamiltonian_hot, beta_h),
+        gibbs_populations(hamiltonian_cold, beta_c),
+    )
+    energy_hot = np.repeat(hamiltonian_hot.energies(), hamiltonian_cold.dimension)
+    energy_cold = np.tile(hamiltonian_cold.energies(), hamiltonian_hot.dimension)
+    heat_hot = ((energy_hot - energy_hot[images]) * probs).sum(axis=1)
+    heat_cold = ((energy_cold - energy_cold[images]) * probs).sum(axis=1)
     return heat_hot + heat_cold, heat_hot, heat_cold
-
-
-def expand_qubit_energies(
-    hamiltonian_hot: Spectrum, hamiltonian_cold: Spectrum
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hot and cold marginal energies over the flat (hot, cold) basis."""
-    d_c = hamiltonian_cold.dimension
-    d_h = hamiltonian_hot.dimension
-    hot = np.repeat(hamiltonian_hot.energies(), d_c)
-    cold = np.tile(hamiltonian_cold.energies(), d_h)
-    return hot, cold
 
 
 @dataclass(frozen=True)
@@ -165,12 +160,10 @@ def optimal_noncatalytic(
         raise GuardExceededError(
             f"working body dimension {n} exceeds the sweep guard {MAX_SWEEP_DIMENSION}"
         )
-    hot = gibbs_populations(hamiltonian_hot, beta.beta_h)
-    cold = gibbs_populations(hamiltonian_cold, beta.beta_c)
-    initial = product_state([1.0], hot, cold)
-    energy_hot, energy_cold = expand_qubit_energies(hamiltonian_hot, hamiltonian_cold)
     images = images_array(n)
-    work, heat_hot, heat_cold = sweep_heats(initial.probs, energy_hot, energy_cold, images)
+    work, heat_hot, heat_cold = sweep_heats(
+        hamiltonian_hot, hamiltonian_cold, beta.beta_h, beta.beta_c, images
+    )
 
     engine = work > MODE_TOL
     if not engine.any():
@@ -181,11 +174,11 @@ def optimal_noncatalytic(
         values = np.full(work.shape, -np.inf)
         values[engine] = 1.0 + heat_cold[engine] / heat_hot[engine]
     values = np.where(engine, values, -np.inf)
-    best = float(values.max())
+    best_index = int(values.argmax())
+    best = float(values[best_index])
     winners = np.flatnonzero(values >= best - 1e-12)
     witnesses = tuple(PermutationMap(tuple(images[k])) for k in winners)
-    final = apply_permutation(initial, witnesses[0])
-    report = stroke_report(initial, final, hamiltonian_hot, hamiltonian_cold, beta)
+    report = CycleReport.from_heats(heat_hot[best_index], heat_cold[best_index])
     return OptimizationResult(best, witnesses, report, True)
 
 
@@ -227,21 +220,14 @@ def qubit_table(
                         ("beta_c", beta_c), ("omega_c", omega_c)):
         if not float(value) > 0.0:
             raise ValueError(f"{name} must be positive")
-    hot = gibbs_populations(Spectrum.qubit(omega_h), beta_h)
-    cold = gibbs_populations(Spectrum.qubit(omega_c), beta_c)
-    probs = np.kron(hot, cold)
-    energy_hot, energy_cold = expand_qubit_energies(
-        Spectrum.qubit(omega_h), Spectrum.qubit(omega_c)
+    images = canonical_qubit_images()
+    _, heat_hot, heat_cold = sweep_heats(
+        Spectrum.qubit(omega_h), Spectrum.qubit(omega_c), beta_h, beta_c, np.array(images)
     )
-    images = np.array(canonical_qubit_images(), dtype=np.int64)
-    work, heat_hot, heat_cold = sweep_heats(probs, energy_hot, energy_cold, images)
     rows = []
-    for k, image in enumerate(canonical_qubit_images()):
-        if abs(heat_hot[k]) > MODE_TOL:
-            eff = float(1.0 + heat_cold[k] / heat_hot[k])
-        else:
-            eff = None
-        rows.append(QubitTableRow(k + 1, PermutationMap(image), float(work[k]), eff))
+    for k, image in enumerate(images):
+        report = CycleReport.from_heats(heat_hot[k], heat_cold[k])
+        rows.append(QubitTableRow(k + 1, PermutationMap(image), report.work, report.efficiency))
     return rows
 
 

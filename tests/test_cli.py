@@ -1,7 +1,9 @@
 import json
+import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import twostroke as ts
@@ -9,6 +11,7 @@ from twostroke import simplex
 from twostroke.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -62,6 +65,28 @@ class TestReport:
         assert payload["heat_hot"] == 0.0
         assert payload["efficiency"] is None
 
+    def test_perm_matches_table24_row(self, capsys):
+        # report --perm and table24 evaluate a stroke with the same code
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            beta_h = rng.uniform(0.05, 5.0)
+            engine = [
+                "--beta-h", repr(beta_h), "--beta-c", repr(beta_h * rng.uniform(1.01, 6.0)),
+                "--omega-h", repr(rng.uniform(0.05, 3.0)),
+                "--omega-c", repr(rng.uniform(0.05, 3.0)),
+            ]
+            code, table, _ = run_cli(capsys, "table24", *engine)
+            assert code == 0
+            for row in table.splitlines()[1:]:
+                _, image, work, efficiency = row.split(",")
+                code, out, _ = run_cli(
+                    capsys, "report", *engine, "--perm", image.replace("-", ",")
+                )
+                assert code == 0
+                payload = json.loads(out)
+                assert payload["work"] == float(work), image
+                assert payload["efficiency"] == (float(efficiency) if efficiency else None)
+
     def test_flag_conflicts(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -71,16 +96,6 @@ class TestReport:
         )
         assert code == 2
         assert "exactly one" in err
-
-    def test_catalyst_dim_mismatch(self, capsys):
-        code, _, err = run_cli(
-            capsys,
-            "report", "--beta-h", "1", "--beta-c", "3",
-            "--omega-h", "1", "--omega-c", "0.5",
-            "--simple", "2,1", "--catalyst-dim", "5",
-        )
-        assert code == 2
-        assert "conflicts" in err
 
 
 class TestConfigValidation:
@@ -135,6 +150,9 @@ class TestConfigValidation:
             # the combined spectrum overflows
             ["lp-bound", "--beta-h", "1", "--beta-c", "1e300",
              "--omega-h", "1e308", "--omega-c", "1e308", "--catalyst-dim", "2"],
+            # the rational efficiency 1 - n*omega_c/(d*omega_h) is below -1.8e308
+            ["report", "--beta-h", "0.3", "--beta-c", "1e300",
+             "--omega-h", "0.3", "--omega-c", "1e308", "--simple", "4,5"],
         ],
     )
     def test_non_finite_result_exits_cleanly(self, capsys, argv):
@@ -163,6 +181,25 @@ class TestConfigValidation:
         assert payload["catalyst"]["delta_p"] == 2.3194800755e-16
         assert payload["report"]["efficiency"] == 0.1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # argparse reads -1e-3 as an option, so --beta-h has no value
+            ["report", "--beta-h", "-1e-3", "--beta-c", "3",
+             "--omega-h", "1", "--omega-c", "0.5", "--otto"],
+            # report works out the catalyst dimension; there is no flag for it
+            ["report", "--beta-h", "1", "--beta-c", "3", "--omega-h", "1",
+             "--omega-c", "0.5", "--simple", "2,1", "--catalyst-dim", "3"],
+            ["twostroke"],
+            [],
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_mixed_forms_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -181,6 +218,15 @@ class TestTable24:
         )
         assert code == 0
         assert out == (GOLDEN / "table24_reference.csv").read_text()
+
+    def test_identity_row_reads_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "table24", "--beta-h", "0.441", "--beta-c", "1.383",
+            "--omega-h", "0.646", "--omega-c", "0.541",
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "1,0-1-2-3,0,"
 
     def test_dimensionless_form_equivalent(self, capsys):
         code, explicit, _ = run_cli(
@@ -229,6 +275,17 @@ class TestOptimize:
         assert payload["best_value"] == 0.5
         assert [0, 2, 1, 3] in payload["witnesses"]
         assert payload["engine_regime"] is True
+
+    def test_report_is_the_otto_optimum(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "optimize", "--beta-h", "0.8869471487749057", "--beta-c", "2.68651796841689",
+            "--omega-h", "1", "--omega-c", "0.33389225051650623",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        # 1 - omega_c/omega_h, to 12 digits
+        assert payload["best_value"] == payload["report"]["efficiency"] == 0.666107749483
 
     def test_no_regime_exit_code(self, capsys):
         code, out, _ = run_cli(
@@ -472,3 +529,19 @@ class TestCoherenceCheck:
         _, first, _ = run_cli(capsys, "coherence-check", "--trials", "8", "--seed", "11")
         _, second, _ = run_cli(capsys, "coherence-check", "--trials", "8", "--seed", "11")
         assert first == second
+
+
+def readme_commands():
+    """The `twostroke ...` lines of README's usage block, continuations joined."""
+    block = README.read_text().split("## Command-line usage")[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("twostroke ")]
+
+
+def test_readme_usage_runs(capsys):
+    commands = readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out

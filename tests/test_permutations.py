@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -192,6 +193,17 @@ class TestOptimalNoncatalytic:
                 ts.ergotropy(initial.probs, spectrum), abs=1e-12
             )
 
+    def test_report_is_the_best_value(self, rng):
+        # the witness report comes from the same sweep as best_value, so the
+        # two agree exactly under either objective
+        for _ in range(200):
+            omega_h, omega_c, beta = random_regime_tuple(rng)
+            hot, cold = ts.Spectrum.qubit(omega_h), ts.Spectrum.qubit(omega_c)
+            by_efficiency = ts.optimal_noncatalytic(hot, cold, beta)
+            assert by_efficiency.report.efficiency == by_efficiency.best_value
+            by_work = ts.optimal_noncatalytic(hot, cold, beta, objective="work")
+            assert by_work.report.work == by_work.best_value
+
     def test_guard(self):
         beta = ts.InverseTemperaturePair(1.0, 2.0)
         with pytest.raises(ts.GuardExceededError):
@@ -237,6 +249,36 @@ class TestQubitTable:
         # the identity draws no hot heat, so efficiency is undefined rather
         # than the 0/0 convention
         assert rows[0].efficiency is None
+
+    def test_hot_bath_may_be_colder(self):
+        # the table is pure bookkeeping: it does not require beta_c > beta_h
+        rows = ts.qubit_table(3.0, 1.0, 1.0, 0.5)
+        assert len(rows) == 24
+        assert rows[1].work < 0.0
+
+    def test_work_matches_exact_sum(self, rng):
+        # each heat is sum_x p_x (E_x - E_image[x]) with its marginal energy,
+        # over the float Gibbs populations: one rounding per product and a
+        # 4-term sum stay within a few eps of the absolute terms, and work
+        # adds one rounding
+        eps = Fraction(np.finfo(float).eps)
+        for _ in range(300):
+            beta_h, beta_c = rng.uniform(0.05, 5.0, 2)
+            omega_h, omega_c = rng.uniform(0.05, 3.0, 2)
+            probs = np.kron(
+                ts.gibbs_populations(ts.Spectrum.qubit(omega_h), beta_h),
+                ts.gibbs_populations(ts.Spectrum.qubit(omega_c), beta_c),
+            )
+            p = [Fraction(float(x)) for x in probs]
+            hot = [0, 0, Fraction(omega_h), Fraction(omega_h)]
+            cold = [0, Fraction(omega_c), 0, Fraction(omega_c)]
+            for row in ts.qubit_table(beta_h, omega_h, beta_c, omega_c):
+                image = row.perm.image
+                terms_hot = [p[x] * (hot[x] - hot[image[x]]) for x in range(4)]
+                terms_cold = [p[x] * (cold[x] - cold[image[x]]) for x in range(4)]
+                scale = sum(map(abs, terms_hot + terms_cold))
+                exact = sum(terms_hot) + sum(terms_cold)
+                assert abs(Fraction(row.work) - exact) <= 8 * eps * scale, image
 
     def test_otto_row_closed_form(self):
         ah, ac = math.exp(-1.0), math.exp(-1.5)
