@@ -5,16 +5,19 @@ coherence-check.  Scalar results are printed as JSON, tables as CSV; every
 float is rendered with 12 significant digits so emitted files are stable
 byte-for-byte across runs and platforms.
 
-Exit codes: 0 success, 2 usage or configuration error (any other ValueError)
-or non-finite result, 3 infeasible catalyst or no engine regime, 4 size or
-iteration guard exceeded or an internal fault (a RuntimeError).  A failure
-prints one `error:` line and no stdout, except optimize's exit 3 (its JSON).
+Exit codes: 0 success, 1 a violated physics invariant (a failed coherence
+check), 2 usage or configuration error (any other ValueError) or non-finite
+result, 3 infeasible catalyst or no engine regime, 4 size or iteration guard
+exceeded or an internal fault (a RuntimeError).  A failure prints one
+`error:` line and no stdout, except optimize's exit 3 (its JSON).
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
+The parser is built once per process, on the first `main` call, and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -318,7 +321,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, shared by every `main` call; do not modify it."""
     parser = _Parser(
         prog="twostroke",
         description="Two-stroke heat engine models, with and without a catalyst",

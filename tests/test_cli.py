@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,17 +10,28 @@ import numpy as np
 import pytest
 
 import twostroke as ts
-from twostroke import simplex
-from twostroke.cli import main
+from twostroke import coherence, simplex
+from twostroke.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_cli(*argv):
+    """(exit code, stdout) of one call in a new interpreter."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "twostroke.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return done.returncode, done.stdout
 
 
 class TestReport:
@@ -529,6 +543,79 @@ class TestCoherenceCheck:
         _, first, _ = run_cli(capsys, "coherence-check", "--trials", "8", "--seed", "11")
         _, second, _ = run_cli(capsys, "coherence-check", "--trials", "8", "--seed", "11")
         assert first == second
+
+    def test_matches_golden(self, capsys):
+        # README's example, byte for byte
+        code, out, err = run_cli(
+            capsys, "coherence-check", "--trials", "200", "--seed", "0"
+        )
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "coherence_check_seed0.json").read_text()
+
+    def test_violated_invariant_exits_1(self, capsys, monkeypatch):
+        # eigenvalues in the wrong order against their eigenvectors give the
+        # decohered engine other heats
+        eigenbasis = coherence._phase_fixed_descending_eigenbasis
+
+        def misordered(rho):
+            values, vectors = eigenbasis(rho)
+            return values[::-1], vectors
+
+        monkeypatch.setattr(coherence, "_phase_fixed_descending_eigenbasis", misordered)
+        code, out, err = run_cli(
+            capsys, "coherence-check", "--trials", "20", "--seed", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: decohered engine heats differ by ")
+        assert err.count("\n") == 1
+
+
+ENGINE = ("--beta-h", "1", "--beta-c", "3", "--omega-h", "1", "--omega-c", "0.5")
+
+
+class TestParserReuse:
+    """main reuses one parser per process; no call may see an earlier call's
+    flags, and each prints what it prints in a fresh interpreter."""
+
+    def test_output_flag_does_not_carry_over(self, capsys, tmp_path):
+        target = tmp_path / "otto.json"
+        code, out, _ = run_cli(capsys, "report", *ENGINE, "--otto", "--output", str(target))
+        assert (code, out) == (0, "")
+        written = target.read_text()
+        target.unlink()
+        code, out, _ = run_cli(capsys, "report", *ENGINE, "--otto")
+        assert code == 0
+        assert out == written
+        assert list(tmp_path.iterdir()) == []
+        assert fresh_cli("report", *ENGINE, "--otto") == (0, out)
+
+    def test_objective_default_restored(self, capsys):
+        code, work, _ = run_cli(capsys, "optimize", *ENGINE, "--objective", "work")
+        assert code == 0
+        assert json.loads(work)["objective"] == "work"
+        code, default, _ = run_cli(capsys, "optimize", *ENGINE)
+        assert code == 0
+        assert json.loads(default)["objective"] == "efficiency"
+        assert fresh_cli("optimize", *ENGINE, "--objective", "work") == (0, work)
+        assert fresh_cli("optimize", *ENGINE) == (0, default)
+
+    def test_usage_error_then_valid_call(self, capsys):
+        code, out, err = run_cli(capsys, "table24", *ENGINE, "--no-such-flag")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fresh_cli("table24", *ENGINE, "--no-such-flag") == (2, "")
+        code, out, err = run_cli(capsys, "table24", *ENGINE)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "table24_reference.csv").read_text()
+        assert fresh_cli("table24", *ENGINE) == (0, out)
+
+    def test_parser_built_at_most_once(self, capsys):
+        for argv in (["report", *ENGINE, "--otto"], ["table24", *ENGINE], ["bogus"]) * 3:
+            main(argv)
+        capsys.readouterr()
+        info = build_parser.cache_info()
+        assert info.misses <= 1 and info.hits >= 9
 
 
 def readme_commands():

@@ -146,3 +146,68 @@ class TestSuite:
         first = ts.run_coherence_suite(trials=10, seed=9)
         second = ts.run_coherence_suite(trials=10, seed=9)
         assert first == second
+
+    def test_two_states_per_trial(self, monkeypatch):
+        # the original and the decohered state, each built once
+        builds = []
+        build = coherence._full_initial_state
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(coherence, "_full_initial_state", counted)
+        ts.run_coherence_suite(trials=6, seed=2)
+        assert len(builds) == 12
+
+
+class TestFailureBranches:
+    """A wrong eigenbasis makes the decohered engine a different engine;
+    both checks of the construction must then refuse it."""
+
+    hot = ts.Spectrum.qubit(1.0)
+    cold = ts.Spectrum.qubit(0.5)
+    beta = ts.InverseTemperaturePair(1.0, 3.0)
+    rho = np.diag([0.7, 0.3]).astype(complex)
+
+    def test_heat_mismatch(self, monkeypatch):
+        # the hot-cold swap runs on catalyst level 1 only, so its heats scale
+        # with that level's population; misordered eigenvalues move 0.3 to 0.7
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        stroke = np.block([[np.eye(4), np.zeros((4, 4))], [np.zeros((4, 4)), swap]])
+        original, _ = ts.decohere_catalyst_construction(
+            self.rho, stroke, self.hot, self.cold, self.beta
+        )
+        eigenbasis = coherence._phase_fixed_descending_eigenbasis
+
+        def misordered(rho):
+            values, vectors = eigenbasis(rho)
+            return values[::-1], vectors
+
+        monkeypatch.setattr(coherence, "_phase_fixed_descending_eigenbasis", misordered)
+        expected = max(abs(q) for q in original) * 4 / 3
+        with pytest.raises(ts.CoherenceCheckError) as caught:
+            ts.decohere_catalyst_construction(
+                self.rho, stroke, self.hot, self.cold, self.beta
+            )
+        value = float(str(caught.value).split()[-1])
+        assert str(caught.value) == f"decohered engine heats differ by {value:.3e}"
+        assert value == pytest.approx(expected, rel=1e-3)
+
+    def test_cyclicity_did_not_transfer(self, monkeypatch):
+        # a phase on the catalyst alone preserves rho_s and draws no heat;
+        # in a Hadamard basis it mixes the catalyst levels, heats still zero
+        stroke = np.kron(np.diag([1.0, 1j]), np.eye(4))
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+        monkeypatch.setattr(
+            coherence,
+            "_phase_fixed_descending_eigenbasis",
+            lambda rho: (np.array([0.7, 0.3]), hadamard),
+        )
+        with pytest.raises(ts.CoherenceCheckError) as caught:
+            ts.decohere_catalyst_construction(
+                self.rho, stroke, self.hot, self.cold, self.beta
+            )
+        value = float(str(caught.value).split()[-1])
+        assert str(caught.value) == f"cyclicity did not transfer: residual {value:.3e}"
+        assert value > coherence.CYCLICITY_MATCH_TOL
