@@ -183,12 +183,15 @@ def _solve_flow_balance(
         end = hot.take(block_m, axis=2)
         last = cold.take(block_n, axis=2)
         steps = cold.take(cols - block_m[:, None], axis=2, mode="clip")  # j < 0 -> 0
-        forward = steps[0] * end[..., None]
-        forward[1] -= steps[1]
         ac = np.empty((2, bh.size, block_n.size, d))
         ac[..., : lo + 1] = hot[:, :, None, : lo + 1]
-        ac[..., lo + 1 :] = np.where(
-            backward[:, :, None], cold[:, :, None, d - lo - 1 : 0 : -1], forward
+        # forward written in place and the backward points' shared slice copied
+        # over it: no temporary the size of ac, which halves the peak memory
+        np.multiply(steps[0], end[..., None], out=ac[..., lo + 1 :])
+        ac[1, ..., lo + 1 :] -= steps[1]
+        np.copyto(
+            ac[..., lo + 1 :], cold[:, :, None, d - lo - 1 : 0 : -1],
+            where=backward[:, :, None],
         )
         np.copyto(
             ac[..., lo + 1 : hi + 1], hot[:, :, None, lo + 1 : hi + 1],
@@ -431,10 +434,11 @@ def _as_quality(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         quality = value
-    elif isinstance(value, str):
-        quality = Fraction(value)
-    elif isinstance(value, int):
-        quality = Fraction(value)
+    elif isinstance(value, (str, int)):
+        try:
+            quality = Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"d/n ratio {value!r} has a zero denominator") from exc
     elif isinstance(value, float):
         quality = Fraction(repr(value))
     else:

@@ -65,9 +65,13 @@ def _rounded(payload):
 
 
 def _emit(text: str, output: str | None) -> None:
+    """Write to --output, or to stdout; an unwritable path raises ConfigError."""
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {output!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

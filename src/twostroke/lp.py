@@ -10,10 +10,10 @@ finds the permutation of largest reduced cost against the master's duals.
 By the rearrangement inequality that permutation sends the largest
 population to the smallest energy shifted by its block's multiplier, so
 pricing over all n! permutations is one sort.  `build_work_bound_problem`
-lists every permutation column and is kept as the test reference.  The value
-bounds the work of any single catalyst-preserving permutation from above,
-and relaxes the harder question of which bistochastic matrices arise from
-actual unitaries.
+assembles the master's columns each round; given all n! images it is the
+test reference.  The value bounds the work of any single catalyst-preserving
+permutation from above, and relaxes the harder question of which bistochastic
+matrices arise from actual unitaries.
 """
 
 from __future__ import annotations
@@ -28,22 +28,16 @@ from .permutations import PermutationMap
 from .thermo import PopulationVector, Spectrum
 
 MAX_DIMENSION = 32
-SIGNATURE_DECIMALS = 12
 
 
 @dataclass(frozen=True, eq=False)
 class WorkBoundProblem:
-    """Deduplicated column data of the work-bound program.
+    """Columns of the work-bound program, one per permutation, as
+    `build_work_bound_problem` assembles them for each master round."""
 
-    Permutations sharing the same (work, block-sum) signature are collapsed
-    to one representative; `class_sizes` records how many each represents.
-    """
-
-    images: np.ndarray      # (M, dim) representative permutation images
-    work: np.ndarray        # (M,) work of each representative
+    work: np.ndarray        # (M,) work of each permutation
     marginals: np.ndarray   # (M, d_s) catalyst block sums after the stroke
     target: np.ndarray      # (d_s,) catalyst block sums of the initial state
-    class_sizes: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,29 +80,18 @@ def build_work_bound_problem(
     catalyst_dim: int,
     images: np.ndarray,
 ) -> WorkBoundProblem:
-    """Assemble and deduplicate the permutation columns of the program.
+    """Work and catalyst block sums of the permutations in `images`, one
+    column per row, in their order.
 
-    The representative of each signature class is the first permutation in
-    image order, which keeps the column order deterministic.
+    `lp_work_upper_bound` assembles the master's columns with it each round.
     """
     energies = hamiltonian.energies()
     probs = initial.probs
-    dim = images.shape[1]
-    block_of = np.arange(dim) // (dim // catalyst_dim)
-    work = energies @ probs - energies[images] @ probs
-    marginals = probs @ np.eye(catalyst_dim)[block_of[images]]
-    signature = np.round(np.column_stack([work, marginals]), SIGNATURE_DECIMALS)
-    _, first, counts = np.unique(
-        signature, axis=0, return_index=True, return_counts=True
-    )
-    order = np.argsort(first)
-    keep = first[order]
+    block_of = np.arange(probs.size) // (probs.size // catalyst_dim)
     return WorkBoundProblem(
-        images=images[keep],
-        work=work[keep],
-        marginals=marginals[keep],
+        work=probs @ energies - energies[images] @ probs,
+        marginals=probs @ np.eye(catalyst_dim)[block_of[images]],
         target=initial.catalyst_marginal(),
-        class_sizes=counts[order],
     )
 
 
@@ -154,17 +137,15 @@ def lp_work_upper_bound(
     energies = hamiltonian.energies()
     probs = initial.probs
     target = initial.catalyst_marginal()
-    block_of = np.arange(n) // (n // catalyst_dim)
     rhs = np.concatenate([[1.0], target[:-1]])
     # the identity keeps the catalyst, so the master is feasible from the start
     images = [np.arange(n)]
     basis = None
     while True:
         stack = np.array(images)
-        work = probs @ energies - energies[stack] @ probs
-        sums = probs @ np.eye(catalyst_dim)[block_of[stack]]
-        columns = np.vstack([np.ones(len(images)), sums[:, :-1].T])
-        result = simplex.simplex_solve(work, columns, rhs, basis=basis)
+        problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, stack)
+        columns = np.vstack([np.ones(len(images)), problem.marginals[:, :-1].T])
+        result = simplex.simplex_solve(problem.work, columns, rhs, basis=basis)
         image, reduced = _best_permutation(
             energies, probs, target, result.dual[0], result.dual[1:]
         )
@@ -176,7 +157,7 @@ def lp_work_upper_bound(
     used = np.flatnonzero(result.x > 0.0)
     alphas = {PermutationMap(stack[k]): float(result.x[k]) for k in used}
     residuals = {
-        "primal_marginal_max": float(np.abs(result.x @ sums - target).max()),
+        "primal_marginal_max": float(np.abs(result.x @ problem.marginals - target).max()),
         "weight_sum_error": float(abs(sum(alphas.values()) - 1.0)),
     }
     solution = LPSolution(

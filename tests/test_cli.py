@@ -276,6 +276,18 @@ class TestTable24:
         assert out == ""
         assert target.read_text() == (GOLDEN / "table24_reference.csv").read_text()
 
+    @pytest.mark.parametrize("target", [".", "missing/table.csv"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, target):
+        # a directory, and a file under a directory that does not exist
+        code, out, err = run_cli(
+            capsys,
+            "table24", "--beta-h", "1", "--beta-c", "3",
+            "--omega-h", "1", "--omega-c", "0.5", "--output", str(tmp_path / target),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --output") and err.count("\n") == 1
+        assert not (tmp_path / "missing").exists()
+
 
 class TestOptimize:
     def test_engine_regime(self, capsys):
@@ -377,6 +389,13 @@ class TestRegimeMap:
         )
         assert code == 2
         assert "cap" in err
+
+    def test_zero_denominator(self, capsys):
+        code, out, err = run_cli(
+            capsys, "regime-map", "--d-over-n", "1/0", "--resolution", "2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: d/n ratio '1/0' has a zero denominator\n"
 
 
 class TestFig5:

@@ -71,7 +71,9 @@ ARGV = st.one_of(
     ),
     command(
         "regime-map",
-        flag("--d-over-n", st.sampled_from(["5/3,2.2", "4", "1/2", "65", "0", "x", "2.2,-1"])),
+        flag("--d-over-n", st.sampled_from(
+            ["5/3,2.2", "4", "1/2", "65", "0", "x", "2.2,-1", "1/0"]
+        )),
         flag("--resolution", SMALL_INTS),
         flag("--beta-ratio-min", NUMBERS), flag("--beta-ratio-max", NUMBERS),
         flag("--freq-ratio-min", NUMBERS), flag("--freq-ratio-max", NUMBERS),
@@ -138,6 +140,7 @@ def run(argv):
 @example(argv=["lp-bound", "--beta-h", "1", "--beta-c", "700", "--omega-h", "700",
                "--omega-c", "1e-12", "--catalyst-dim", "2"])
 @example(argv=["regime-map", "--resolution", "3", "--freq-ratio-max", "inf"])
+@example(argv=["regime-map", "--d-over-n", "1/0", "--resolution", "2"])
 @example(argv=["report", "--beta-h", "0.3", "--beta-c", "1e300", "--omega-h", "0.3",
                "--omega-c", "1e308", "--simple", "4,5"])
 @example(argv=["report", "--beta-h", "-1e-3", "--beta-c", "3", "--omega-h", "1",

@@ -27,8 +27,8 @@ def random_instance(rng, dims=(2, 2, 2)):
 
 
 def permutation_problem(hamiltonian, initial, d_s):
-    """The same program in permutation coordinates: one column per class of
-    the n! permutations."""
+    """The same program in permutation coordinates: one column per
+    permutation, all n! of them."""
     images = images_array(initial.dimension)
     return lp.build_work_bound_problem(hamiltonian, initial, d_s, images)
 
@@ -301,41 +301,6 @@ class TestSerialisation:
         assert set(data["dual"]) == {"y", "x"}
         assert len(data["dual"]["x"]) == d_s - 1
         assert abs(sum(e["weight"] for e in data["alphas"]) - 1.0) < 1e-9
-
-
-class TestPermutationReference:
-    def test_class_sizes_and_first_representatives(self, rng):
-        # reference: the signature classes in a Python loop over image order.
-        # The uniform catalyst repeats every (energy, population) pair, so
-        # permutations merge into classes larger than one.
-        bodies = [
-            (*random_instance(rng, (1, 2, 2))[:2], 1),
-            (*qubit_body([0.5, 0.5], 0.6, ts.InverseTemperaturePair(1.0, 3.0)), 2),
-        ]
-        for hamiltonian, initial, d_s in bodies:
-            images = images_array(initial.dimension)
-            problem = lp.build_work_bound_problem(hamiltonian, initial, d_s, images)
-            # the signature in the arithmetic of build_work_bound_problem, so
-            # that rounding at the 12th decimal splits the classes the same way
-            energies, probs = hamiltonian.energies(), initial.probs
-            block_of = np.arange(initial.dimension) // (initial.dimension // d_s)
-            work = energies @ probs - energies[images] @ probs
-            marginals = probs @ np.eye(d_s)[block_of[images]]
-            signature = np.round(
-                np.column_stack([work, marginals]), lp.SIGNATURE_DECIMALS
-            )
-            first: dict[tuple, int] = {}
-            sizes: dict[tuple, int] = {}
-            for index, row in enumerate(map(tuple, signature)):
-                first.setdefault(row, index)
-                sizes[row] = sizes.get(row, 0) + 1
-            keep = sorted(first.values())
-            assert problem.class_sizes.sum() == math.factorial(initial.dimension)
-            np.testing.assert_array_equal(problem.images, images[keep])
-            assert list(problem.class_sizes) == [
-                sizes[tuple(signature[index])] for index in keep
-            ]
-        assert problem.class_sizes.max() > 1
 
 
 def qubit_body(catalyst, omega_c, beta):
