@@ -14,10 +14,12 @@ so the efficiency is 1 - n*omega_c/((m+n)*omega_h) regardless of the
 transfer's size.  The transfer itself follows from the block flow-balance
 equations.  Each is a two-term recurrence between neighbouring blocks, so
 one O(d) pass over the blocks, closed by a 2x2 system, solves them at once
-for an array of parameter points and every (d - n, n) split of one d (the
-splits share one table of powers per point, and one slice of it when the
-cold segment runs backward); `delta_p_closed_form` gives the same transfer
-in closed form away from its poles.
+for every (d - n, n) split of one d at one parameter point (the splits share
+one table of powers, and one slice of it when the cold segment runs
+backward); `delta_p_closed_form` gives the same transfer in closed form away
+from its poles.  Where the work is positive needs no solve at all: exactly
+inside the window max(1, omega_c/omega_h) < d/n <
+beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a grid.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
 from .permutations import PermutationMap, ergotropy
 from .thermo import (
     ENGINE,
-    MODE_TOL,
     CycleReport,
     InverseTemperaturePair,
     Spectrum,
@@ -134,10 +135,10 @@ def _check_boltzmann(boltz_hot: float, boltz_cold: float) -> tuple[float, float]
 
 
 def _solve_flow_balance(
-    d: int, n: np.ndarray, boltz_hot: np.ndarray, boltz_cold: np.ndarray
+    d: int, n: np.ndarray, boltz_hot: float, boltz_cold: float
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """Catalyst populations and block transfer of every (d - n, n) split at
-    each point of two 1-d Boltzmann-factor arrays.
+    one pair of Boltzmann factors.
 
     With N = 1/((1 + bh)(1 + bc)) block k balances N*bh*p_k - N*x*p_{k+1} =
     transfer (p_d = p_0), with x = 1 for the m = d - n ground-dropping blocks
@@ -147,32 +148,31 @@ def _solve_flow_balance(
     rule.  The hot segment runs forward from p_0 in powers of bh; the cold
     segment runs backward from p_0 in powers of bc/bh when bc <= bh and
     forward from p_m in powers of bh/bc otherwise, so no power or partial sum
-    grows.  Splits index one table of powers per point; backward, block k's
-    cold coefficients sit at j = d - k for every split (one shared slice),
-    forward each split reads its own window, from its m.
+    grows.  Splits index one table of powers; backward, block k's cold
+    coefficients sit at j = d - k for every split (one shared slice), forward
+    each split reads its own window, from its m.
 
-    Yields (n, unclipped populations (points, splits, d), transfer, feasible)
-    for consecutive blocks of the splits `n`, each of at most
-    SPLIT_BLOCK_ENTRIES populations; feasible means finite with no population
-    below -NEGATIVE_POPULATION_TOL.  Each number equals a one-split solve's.
+    Yields (n, unclipped populations (splits, d), transfer, feasible) for
+    consecutive blocks of the splits `n`, each of at most SPLIT_BLOCK_ENTRIES
+    populations; feasible means finite with no population below
+    -NEGATIVE_POPULATION_TOL.  Each number equals a one-split solve's.
     """
-    bh = np.asarray(boltz_hot, dtype=float)[:, None]
-    bc = np.asarray(boltz_cold, dtype=float)[:, None]
+    bh, bc = boltz_hot, boltz_cold
     splits = n.tolist()
-    top = np.maximum(bh, bc)
+    top = max(bh, bc)
     backward = bc <= bh
     # [a; c] tables, S_j = sum of the powers below j (R_j in the cold segment):
-    # hot[:, :, k] = [bh^k; -top*S_k] gives blocks 0..m, p_k = bh^k p_0 - top*S_k v;
-    # cold[:, :, j] = [r^j; R_j], j steps from either end of the cold segment:
+    # hot[:, k] = [bh^k; -top*S_k] gives blocks 0..m, p_k = bh^k p_0 - top*S_k v;
+    # cold[:, j] = [r^j; R_j], j steps from either end of the cold segment:
     # backward p_{d-j} = r^j p_0 + R_j v, forward p_{m+j} = r^j p_m - R_j v
-    hot = np.empty((2, bh.size, d - min(splits) + 1))
-    cold = np.empty((2, bh.size, max(splits) + 1))
-    for table, base in ((hot, bh), (cold, np.minimum(bh, bc) / top)):
-        np.power(base, np.arange(table.shape[2]), out=table[0])
-        table[1, :, 0] = 0.0
-        np.cumsum(table[0, :, :-1], axis=1, out=table[1, :, 1:])
+    hot = np.empty((2, d - min(splits) + 1))
+    cold = np.empty((2, max(splits) + 1))
+    for table, base in ((hot, bh), (cold, min(bh, bc) / top)):
+        np.power(base, np.arange(table.shape[1]), out=table[0])
+        table[1, 0] = 0.0
+        np.cumsum(table[0, :-1], out=table[1, 1:])
     hot[1] *= -top
-    step = max(1, SPLIT_BLOCK_ENTRIES // (bh.size * d))
+    step = max(1, SPLIT_BLOCK_ENTRIES // d)
     for start in range(0, n.size, step):
         block_n = n[start : start + step]
         block_m = d - block_n
@@ -180,40 +180,35 @@ def _solve_flow_balance(
         hi = d - min(splits[start : start + step])
         # columns lo+1..d-1: hot up to each split's m, cold past it
         cols = np.arange(lo + 1, d)
-        end = hot.take(block_m, axis=2)
-        last = cold.take(block_n, axis=2)
-        steps = cold.take(cols - block_m[:, None], axis=2, mode="clip")  # j < 0 -> 0
-        ac = np.empty((2, bh.size, block_n.size, d))
-        ac[..., : lo + 1] = hot[:, :, None, : lo + 1]
-        # forward written in place and the backward points' shared slice copied
-        # over it: no temporary the size of ac, which halves the peak memory
-        np.multiply(steps[0], end[..., None], out=ac[..., lo + 1 :])
-        ac[1, ..., lo + 1 :] -= steps[1]
+        end = hot[:, block_m]
+        last = cold[:, block_n]
+        ac = np.empty((2, block_n.size, d))
+        ac[..., : lo + 1] = hot[:, None, : lo + 1]
+        # the left-out balance: p_m from both segments (backward), p_d = p_0 (forward)
+        if backward:
+            ac[..., lo + 1 :] = cold[:, None, d - lo - 1 : 0 : -1]
+            close = end - last
+        else:
+            steps = cold.take(cols - block_m[:, None], axis=1, mode="clip")  # j < 0 -> 0
+            np.multiply(steps[0], end[..., None], out=ac[..., lo + 1 :])
+            ac[1, :, lo + 1 :] -= steps[1]
+            close = last[0] * end
+            close[0] -= 1.0
+            close[1] -= last[1]
         np.copyto(
-            ac[..., lo + 1 :], cold[:, :, None, d - lo - 1 : 0 : -1],
-            where=backward[:, :, None],
-        )
-        np.copyto(
-            ac[..., lo + 1 : hi + 1], hot[:, :, None, lo + 1 : hi + 1],
+            ac[..., lo + 1 : hi + 1], hot[:, None, lo + 1 : hi + 1],
             where=cols[: hi - lo] <= block_m[:, None],
         )
-        # the left-out balance: p_m from both segments (backward), p_d = p_0 (forward)
-        close = last[0] * end
-        close[0] -= 1.0
-        close[1] -= last[1]
-        close = np.where(backward, end - last, close)
         # row sums over rows of length d, as a one-split solve takes them
-        sums = ac.reshape(-1, d).sum(axis=1).reshape(end.shape)
+        sums = ac.sum(axis=2)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             det = close[0] * sums[1] - close[1] * sums[0]
             p_0 = -close[1] / det
             v = close[0] / det
-            pops = ac[0] * p_0[:, :, None] + ac[1] * v[:, :, None]
+            pops = ac[0] * p_0[:, None] + ac[1] * v[:, None]
             transfer = v * top / ((1.0 + bh) * (1.0 + bc))
-        # det == 0 leaves p_0 = pops[..., 0] non-finite, so finite pops imply a finite transfer
-        feasible = np.isfinite(pops).all(axis=2) & (
-            pops.min(axis=2) >= -NEGATIVE_POPULATION_TOL
-        )
+        # det == 0 leaves p_0 = pops[:, 0] non-finite, so finite pops imply a finite transfer
+        feasible = np.isfinite(pops).all(axis=1) & (pops.min(axis=1) >= -NEGATIVE_POPULATION_TOL)
         yield block_n, pops, transfer, feasible
 
 
@@ -239,9 +234,9 @@ def solve_catalyst_state(
     than 1e-12 mean no valid catalyst exists for these parameters and raise
     InfeasibleCatalystError; tinier negatives are clipped to zero.
     """
-    boltz = np.array(_check_boltzmann(boltz_hot, boltz_cold))[:, None]
+    boltz = _check_boltzmann(boltz_hot, boltz_cold)
     [(_, pops, transfer, feasible)] = _solve_flow_balance(shape.d, np.array([shape.n]), *boltz)
-    return _catalyst_state(pops[0, 0], transfer[0, 0], feasible[0, 0])
+    return _catalyst_state(pops[0], transfer[0], feasible[0])
 
 
 def delta_p_closed_form(
@@ -278,12 +273,11 @@ def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) 
         return -math.inf
 
 
-def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> np.ndarray:
-    """Validated exp(-beta*omega) of both excited qubit levels, as [[bh], [bc]]."""
+def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> tuple[float, float]:
+    """Validated exp(-beta*omega) of both excited qubit levels, (bh, bc)."""
     if not (omega_h > 0.0 and omega_c > 0.0):
         raise ValueError("level spacings must be positive")
-    bh, bc = math.exp(-beta.beta_h * omega_h), math.exp(-beta.beta_c * omega_c)
-    return np.array(_check_boltzmann(bh, bc))[:, None]
+    return _check_boltzmann(math.exp(-beta.beta_h * omega_h), math.exp(-beta.beta_c * omega_c))
 
 
 def _heats(d, n, omega_h: float, omega_c: float, delta_p):
@@ -312,8 +306,7 @@ def simple_perm_report(
     parameters where the heats themselves are astronomically small.
     """
     omega_h, omega_c = float(omega_h), float(omega_c)
-    (boltz_hot,), (boltz_cold,) = _qubit_boltzmann(omega_h, omega_c, beta)
-    catalyst = solve_catalyst_state(shape, boltz_hot, boltz_cold)
+    catalyst = solve_catalyst_state(shape, *_qubit_boltzmann(omega_h, omega_c, beta))
     return _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst
 
 
@@ -335,7 +328,7 @@ def sweep_simple_perms(
     boltz = _qubit_boltzmann(omega_h, omega_c, beta)
     out = []
     for block_n, pops, transfer, feasible in _solve_flow_balance(d, np.arange(1, d + 1), *boltz):
-        for n, row, delta_p, ok in zip(block_n.tolist(), pops[0], transfer[0], feasible[0]):
+        for n, row, delta_p, ok in zip(block_n.tolist(), pops, transfer, feasible):
             try:
                 catalyst = _catalyst_state(row, delta_p, ok)
             except InfeasibleCatalystError:
@@ -380,6 +373,18 @@ def optimal_simple_perm_efficiency(
     return best
 
 
+def _catalytic_window(quality, freq_ratio, exponent_ratio):
+    """Whether the simple permutation with d/n = quality runs as an engine:
+    max(1, omega_c/omega_h) < d/n < beta_c*omega_c/(beta_h*omega_h).
+
+    Inside the window its catalyst is valid and its work positive, however
+    small; outside it the work is not positive, except at d/n = 1, the bare
+    swap with a trivial catalyst, which the window leaves out.  Elementwise
+    over arrays of frequency ratios omega_c/omega_h and exponent ratios.
+    """
+    return (np.maximum(1.0, freq_ratio) < quality) & (quality < exponent_ratio)
+
+
 def feasible_quality(
     omega_h: float,
     omega_c: float,
@@ -408,7 +413,7 @@ def feasible_quality(
             continue
         seen.add(quality)
         d, n = quality.numerator, quality.denominator
-        if not (low < d / n < high) or d > max_dim or d < n:
+        if d > max_dim or not _catalytic_window(d / n, omega_c / omega_h, high):
             continue
         shape = SimplePermSpec(d - n, n)
         try:
@@ -474,10 +479,13 @@ def regime_map(
     engine at all can run (beta_c*omega_c > beta_h*omega_h), 'otto' where the
     bare hot-cold swap runs without a catalyst, and one 'catalytic' flag per
     requested d/n where the simple permutation realising that ratio (in
-    lowest terms) produces positive work with a valid catalyst.  Grid points
-    are evaluated at beta_h = omega_h = 1; feasibility only depends on the
-    two plotted ratios.  Range ends must be finite, so every grid value is;
-    a non-finite end raises ValueError, which the CLI reports with exit 2.
+    lowest terms) produces positive work with a valid catalyst.  That is the
+    closed-form window max(1, omega_c/omega_h) < d/n <
+    beta_c*omega_c/(beta_h*omega_h), so no flow equations are solved; d/n = 1
+    is the bare swap, flagged by 'otto' instead.  Grid points are evaluated
+    at beta_h = omega_h = 1; feasibility only depends on the two plotted
+    ratios.  Range ends must be finite, so every grid value is; a non-finite
+    end raises ValueError, which the CLI reports with exit 2.
     """
     resolution = int(resolution)
     if resolution < 2:
@@ -506,21 +514,9 @@ def regime_map(
     exponent_product = beta_ratios[:, None] * freq
     carnot = exponent_product > 1.0
     regions = [("", "carnot", carnot), ("", "otto", (freq < 1.0) & carnot)]
-
-    boltz_hot = np.full(exponent_product.size, math.exp(-1.0))
-    boltz_cold = np.exp(-exponent_product).reshape(-1)
     for quality in fractions:
-        d, n = quality.numerator, quality.denominator
-        flags = np.zeros(exponent_product.shape, dtype=bool)
-        if d >= n:
-            [(_, _, transfer, solvable)] = _solve_flow_balance(
-                d, np.array([n]), boltz_hot, boltz_cold
-            )
-            transfer = np.where(solvable, transfer, 0.0).reshape(flags.shape)
-            work = (d * 1.0 - n * freq) * transfer
-            window = (float(quality) > 1.0) & (float(quality) < exponent_product)
-            flags = window & (work > MODE_TOL) & solvable.reshape(flags.shape)
-        regions.append((f"{d}/{n}", "catalytic", flags))
+        flags = _catalytic_window(float(quality), freq, exponent_product)
+        regions.append((f"{quality.numerator}/{quality.denominator}", "catalytic", flags))
     return RegimeMap(beta_ratios, freq_ratios, tuple(regions))
 
 
@@ -567,7 +563,7 @@ def fig_work_vs_cold_swaps(
     transfers = []
     for _, pops, transfer, feasible in _solve_flow_balance(d, splits, *boltz):
         if not feasible.all():  # raise for the first split without a catalyst
-            _catalyst_state(pops[0, np.argmin(feasible[0])], 0.0, False)
-        transfers.append(transfer[0])
+            _catalyst_state(pops[np.argmin(feasible)], 0.0, False)
+        transfers.append(transfer)
     heat_hot, heat_cold = _heats(d, splits, omega_h, omega_c, np.concatenate(transfers))
     return list(zip(splits.tolist(), (heat_hot + heat_cold).tolist(), [baseline] * d))

@@ -1,27 +1,32 @@
 """The benchmark in perfbench/ wraps twostroke functions by name from outside
-the package; every name it wraps must keep resolving."""
+the package; every name it wraps must keep resolving, and its output checks
+must keep accepting what the program prints."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 import types
 from pathlib import Path
+
+import numpy as np
 
 import twostroke as ts
 from twostroke import lp
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_resolve():
-    for layer, names in load_tracer().TRACED.items():
+    for layer, names in load_perfbench("tracer").TRACED.items():
         module = importlib.import_module(f"twostroke.{layer}")
         for qualified in names:
             target = module
@@ -39,7 +44,7 @@ def test_column_counter_reads_the_images_argument():
 def test_lp_counters_read_the_column_generation():
     # every master round builds its columns with build_work_bound_problem,
     # so the traced column and pivot counters of one LP solve are nonzero
-    tracer_module = load_tracer()
+    tracer_module = load_perfbench("tracer")
     mods = types.SimpleNamespace(**{
         layer: importlib.import_module(f"twostroke.{layer}") for layer in tracer_module.TRACED
     })
@@ -63,3 +68,17 @@ def test_lp_counters_read_the_column_generation():
     assert totals["lp.columns_in"] > 0
     assert totals["lp.columns_kept"] == totals["lp.columns_in"]
     assert totals["simplex.iterations"] > 0
+
+
+def test_regime_checker_accepts_the_window():
+    # regime-map flags come from the closed-form window; the checker re-derives
+    # a few rows with the flow solve and `work > 1e-12`, which agree here only
+    # because the workload's exponent products stay below its largest d/n, 63/2
+    workloads = load_perfbench("workloads")
+    mods = types.SimpleNamespace(**{
+        name: importlib.import_module(f"twostroke.{name}")
+        for name in ("catalysis", "cli", "errors", "thermo")
+    })
+    for i in range(20):
+        inp = workloads.regime_input(np.random.default_rng([1, i]))
+        assert workloads.regime_check(mods, inp, workloads.regime_run(mods, inp)) == []

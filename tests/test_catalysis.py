@@ -9,7 +9,6 @@ import pytest
 import twostroke as ts
 from twostroke import catalysis
 from twostroke.catalysis import MAX_REGIME_CATALYST_DIM
-from twostroke.thermo import MODE_TOL
 
 from conftest import random_regime_tuple
 
@@ -45,23 +44,15 @@ def subspace_flows(initial, final):
 
 
 def solve_splits(d, n, boltz_hot, boltz_cold):
-    """One batched flow solve, its blocks joined: populations (points, splits,
-    d), transfer and feasible (points, splits), with the solved n."""
+    """One batched flow solve at one parameter point, its blocks joined:
+    populations (splits, d), transfer and feasible (splits,), with the
+    solved n."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blocks = list(
-            catalysis._solve_flow_balance(
-                d,
-                np.asarray(n),
-                np.asarray(boltz_hot, dtype=float),
-                np.asarray(boltz_cold, dtype=float),
-            )
+            catalysis._solve_flow_balance(d, np.asarray(n), float(boltz_hot), float(boltz_cold))
         )
-    solved_n, pops, transfer, feasible = zip(*blocks)
-    return (
-        np.concatenate(solved_n),
-        *(np.concatenate(part, axis=1) for part in (pops, transfer, feasible)),
-    )
+    return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def flow_residuals(shape, ah, ac, state):
@@ -200,7 +191,7 @@ class TestSolveCatalystState:
         # (randomised sweeps stay nonnegative), so the guard is exercised by
         # forcing a bad solution through the flow solver
         def fake_solve(d, n, boltz_hot, boltz_cold):
-            yield n, np.array([[[1.1, -0.1]]]), np.array([[0.0]]), np.array([[False]])
+            yield n, np.array([[1.1, -0.1]]), np.array([0.0]), np.array([False])
 
         monkeypatch.setattr(catalysis, "_solve_flow_balance", fake_solve)
         with pytest.raises(ts.InfeasibleCatalystError, match="infeasible catalyst"):
@@ -222,46 +213,37 @@ class TestFlowBalanceSolver:
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_balances_and_closed_form(self, m, n, ah, ac):
         shape = ts.SimplePermSpec(m, n)
-        pops, transfer, feasible = self.solve(shape, [ah], [ac])
-        assert pops.shape == (1, 1, shape.d) and transfer.shape == (1, 1)
-        assert feasible[0, 0]
+        pops, transfer, feasible = self.solve(shape, ah, ac)
+        assert pops.shape == (1, shape.d) and transfer.shape == (1,)
+        assert feasible[0]
         assert np.isfinite(pops).all() and np.isfinite(transfer).all()
         assert pops.min() >= 0.0
         assert abs(pops.sum() - 1.0) < 1e-12
-        state = ts.CatalystState(pops[0, 0], transfer[0, 0])
+        state = ts.CatalystState(pops[0], transfer[0])
         assert np.abs(flow_residuals(shape, ah, ac, state)).max() < 1e-12
         if ah != ac:  # the closed form's pole
-            assert abs(transfer[0, 0] - ts.delta_p_closed_form(shape, ah, ac)) <= 1e-12
-
-    def test_batch_mixes_directions(self):
-        shape = ts.SimplePermSpec(4, 3)
-        hot, cold = zip(*self.PAIRS)
-        pops, transfer, feasible = self.solve(shape, hot, cold)
-        for k, (ah, ac) in enumerate(self.PAIRS):
-            one_pops, one_transfer, one_feasible = self.solve(shape, [ah], [ac])
-            assert np.array_equal(pops[k], one_pops[0])
-            assert transfer[k] == one_transfer[0] and feasible[k] == one_feasible[0]
+            assert abs(transfer[0] - ts.delta_p_closed_form(shape, ah, ac)) <= 1e-12
 
     @pytest.mark.parametrize("direction", ["backward", "forward", "equal"])
     def test_batched_splits_match_single_splits(self, rng, direction):
         # every split of one batched solve, in any order and across block
-        # boundaries (d = 300 at four points spans several blocks), equals
-        # its own one-split solve bit for bit
+        # boundaries (d = 300 spans two blocks), equals its own one-split
+        # solve bit for bit
         for d in [*rng.integers(1, 81, size=6).tolist(), 300]:
-            boltz_hot = rng.uniform(0.05, 0.95, size=4)
-            boltz_cold = {
-                "backward": boltz_hot * rng.uniform(0.0, 1.0, size=4),
-                "forward": boltz_hot + (1.0 - boltz_hot) * rng.uniform(0.0, 1.0, size=4),
-                "equal": boltz_hot,
-            }[direction]
-            order = rng.permutation(d) + 1
-            solved_n, pops, transfer, feasible = solve_splits(d, order, boltz_hot, boltz_cold)
-            assert solved_n.tolist() == order.tolist()
-            assert pops.shape == (4, d, d) and transfer.shape == feasible.shape == (4, d)
-            for k, n in enumerate(order.tolist()):
-                one = solve_splits(d, [n], boltz_hot, boltz_cold)[1:]
-                for batched, single in zip((pops, transfer, feasible), one):
-                    assert np.array_equal(batched[:, k], single[:, 0], equal_nan=True)
+            for boltz_hot in rng.uniform(0.05, 0.95, size=4).tolist():
+                boltz_cold = {
+                    "backward": boltz_hot * rng.uniform(0.0, 1.0),
+                    "forward": boltz_hot + (1.0 - boltz_hot) * rng.uniform(0.0, 1.0),
+                    "equal": boltz_hot,
+                }[direction]
+                order = rng.permutation(d) + 1
+                solved_n, pops, transfer, feasible = solve_splits(d, order, boltz_hot, boltz_cold)
+                assert solved_n.tolist() == order.tolist()
+                assert pops.shape == (d, d) and transfer.shape == feasible.shape == (d,)
+                for k, n in enumerate(order.tolist()):
+                    one = solve_splits(d, [n], boltz_hot, boltz_cold)[1:]
+                    for batched, single in zip((pops, transfer, feasible), one):
+                        assert np.array_equal(batched[k], single[0], equal_nan=True)
 
     def test_infeasible_split_handling(self, monkeypatch):
         # the split n = 2 comes back with a negative population: the sweep
@@ -271,8 +253,8 @@ class TestFlowBalanceSolver:
         def one_bad_split(d, n, boltz_hot, boltz_cold):
             for block_n, pops, transfer, feasible in solve(d, n, boltz_hot, boltz_cold):
                 bad = block_n == 2
-                pops[:, bad, 0] = -0.1
-                feasible[:, bad] = False
+                pops[bad, 0] = -0.1
+                feasible[bad] = False
                 yield block_n, pops, transfer, feasible
 
         monkeypatch.setattr(catalysis, "_solve_flow_balance", one_bad_split)
@@ -284,9 +266,10 @@ class TestFlowBalanceSolver:
 
     def test_blocks_bound_memory(self):
         d = 300
-        blocks = list(catalysis._solve_flow_balance(d, np.arange(1, d + 1), [0.6], [0.2]))
+        blocks = list(catalysis._solve_flow_balance(d, np.arange(1, d + 1), 0.6, 0.2))
         assert len(blocks) > 1
         assert all(pops.size <= catalysis.SPLIT_BLOCK_ENTRIES for _, pops, _, _ in blocks)
+        assert all(n.size == catalysis.SPLIT_BLOCK_ENTRIES // d for n, _, _, _ in blocks[:-1])
         assert np.concatenate([n for n, _, _, _ in blocks]).tolist() == list(range(1, d + 1))
 
     def test_work_curve_at_dimension_2000(self):
@@ -546,10 +529,18 @@ class TestRegimeMap:
                 beta = ts.InverseTemperaturePair(1.0, beta_ratio)
                 try:
                     report, _ = ts.simple_perm_report(shape, 1.0, freq_ratio, beta)
-                    expected = report.work > MODE_TOL
+                    expected = report.work > 0.0
                 except ts.InfeasibleCatalystError:
                     expected = False
                 assert feasible == expected
+
+    def test_makes_no_flow_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("regime_map solved the flow equations")
+
+        monkeypatch.setattr(catalysis, "_solve_flow_balance", refuse)
+        chart = ts.regime_map(["5/3", "63/2", "1/2"], (1.01, 40.0), (0.05, 2.5), 10)
+        assert chart.regions[3][2].any()
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -558,6 +549,55 @@ class TestRegimeMap:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ts.regime_map(["2"], (0.9, 1.5), (0.2, 1.8), 4)
+
+
+class TestCatalyticWindow:
+    """The closed-form window against the flow solve, at beta_h = omega_h = 1:
+    inside max(1, freq) < d/n < beta*freq the simple permutation has a valid
+    catalyst and positive work, outside it does not.  d/n = 1 is the bare
+    swap, which the window leaves to the 'otto' flag."""
+
+    @staticmethod
+    def engine(quality, beta_ratio, freq_ratio):
+        shape = ts.SimplePermSpec(quality.numerator - quality.denominator, quality.denominator)
+        beta = ts.InverseTemperaturePair(1.0, beta_ratio)
+        try:
+            report, _ = ts.simple_perm_report(shape, 1.0, freq_ratio, beta)
+        except ts.InfeasibleCatalystError:
+            return False
+        return report.work > 0.0
+
+    @staticmethod
+    def window(quality, beta_ratio, freq_ratio):
+        return bool(catalysis._catalytic_window(float(quality), freq_ratio, beta_ratio * freq_ratio))
+
+    def test_random_grid_points(self, rng):
+        for _ in range(12):
+            n = int(rng.integers(1, 33))
+            d = int(rng.integers(n + 1, 65))
+            quality = Fraction(d, n)
+            chart = ts.regime_map([quality], (1.01, 40.0), (0.05, 2.5), 20)
+            flags = chart.regions[2][2]
+            for i, j in rng.integers(0, 20, size=(40, 2)).tolist():
+                beta_ratio, freq_ratio = chart.beta_ratios[i], chart.freq_ratios[j]
+                expected = self.engine(quality, beta_ratio, freq_ratio)
+                assert flags[i, j] == expected == self.window(quality, beta_ratio, freq_ratio)
+
+    @pytest.mark.parametrize("offset", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_edge_probes(self, rng, offset):
+        for _ in range(25):
+            n = int(rng.integers(1, 33))
+            quality = Fraction(int(rng.integers(n + 1, 65)), n)
+            q = float(quality)
+            for side, inside in ((1.0 - offset, False), (1.0 + offset, True)):
+                # the product edge beta*freq = d/n, with freq below d/n
+                freq_ratio = float(rng.uniform(0.05, 0.9 * min(q, 2.5)))
+                probes = [(q * side / freq_ratio, freq_ratio)]
+                # the frequency edge freq = d/n, with beta*freq far above it
+                probes.append((float(rng.uniform(1.5, 4.0)), q * (2.0 - side)))
+                for beta_ratio, freq_ratio in probes:
+                    expected = self.engine(quality, beta_ratio, freq_ratio)
+                    assert expected == inside == self.window(quality, beta_ratio, freq_ratio)
 
 
 class TestFigWorkVsColdSwaps:
