@@ -49,6 +49,7 @@ from .thermo import (
 
 NEGATIVE_POPULATION_TOL = 1e-12
 MAX_REGIME_CATALYST_DIM = 64
+MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~1.4 GB to render
 SPLIT_BLOCK_ENTRIES = 2**16  # populations per block of solved splits: flat memory in d
 
 
@@ -435,7 +436,7 @@ def _as_quality(value) -> Fraction:
 
     Strings keep their decimal meaning ('2.2' -> 11/5); floats go through
     repr for the same reason.  Pass Fractions directly when exactness
-    matters.
+    matters.  A ratio above the float range raises ValueError.
     """
     if isinstance(value, Fraction):
         quality = value
@@ -450,6 +451,10 @@ def _as_quality(value) -> Fraction:
         raise TypeError(f"cannot interpret {value!r} as a d/n ratio")
     if quality <= 0:
         raise ValueError("d/n ratios must be positive")
+    try:
+        float(quality)
+    except OverflowError as exc:
+        raise ValueError(f"d/n ratio {value!r} exceeds the float range") from exc
     return quality
 
 
@@ -485,7 +490,9 @@ def regime_map(
     is the bare swap, flagged by 'otto' instead.  Grid points are evaluated
     at beta_h = omega_h = 1; feasibility only depends on the two plotted
     ratios.  Range ends must be finite, so every grid value is; a non-finite
-    end raises ValueError, which the CLI reports with exit 2.
+    end raises ValueError, which the CLI reports with exit 2.  A grid of more
+    than MAX_REGIME_ROWS rows, resolution**2 * (2 + number of ratios), raises
+    GuardExceededError (exit 4) before anything is allocated.
     """
     resolution = int(resolution)
     if resolution < 2:
@@ -501,12 +508,11 @@ def regime_map(
     fractions = [_as_quality(q) for q in qualities]
     if not fractions:
         raise ValueError("at least one d/n ratio is required")
-    for quality in fractions:
-        if quality.numerator > MAX_REGIME_CATALYST_DIM:
-            raise ValueError(
-                f"d/n = {quality} needs catalyst dimension {quality.numerator} "
-                f"> cap {MAX_REGIME_CATALYST_DIM}"
-            )
+    rows = resolution**2 * (2 + len(fractions))
+    if rows > MAX_REGIME_ROWS:
+        raise GuardExceededError(
+            f"regime map of {rows} rows exceeds the cap {MAX_REGIME_ROWS}"
+        )
 
     beta_ratios = np.linspace(beta_lo, beta_hi, resolution)
     freq_ratios = np.linspace(freq_lo, freq_hi, resolution)

@@ -10,6 +10,8 @@ check), 2 usage or configuration error (any other ValueError) or non-finite
 result, 3 infeasible catalyst or no engine regime, 4 size or iteration guard
 exceeded or an internal fault (a RuntimeError).  A failure prints one
 `error:` line and no stdout, except optimize's exit 3 (its JSON).
+`regime-map` exits 4 on a grid of more than `catalysis.MAX_REGIME_ROWS` CSV
+rows (resolution**2 * (2 + number of d/n ratios)), before any allocation.
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
 The parser is built once per process, on the first `main` call, and reused.
 """
@@ -233,31 +235,36 @@ def cmd_regime_map(args) -> int:
         (args.freq_ratio_min, args.freq_ratio_max),
         args.resolution,
     )
-    lines = [
-        "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)",
-        "# normalisation: beta_h = 1 and omega_h = 1 at every grid point",
-        "# catalytic rows realise d/n in lowest terms, catalyst dimension capped at "
-        f"{catalysis.MAX_REGIME_CATALYST_DIM}",
+    chunks = [
+        "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)\n"
+        "# normalisation: beta_h = 1 and omega_h = 1 at every grid point\n"
+        "# catalytic rows realise d/n in lowest terms\n"
         "# feasible: carnot = any engine possible; otto = bare hot-cold swap runs;"
-        " catalytic = the d/n simple permutation runs with a valid catalyst",
-        "beta_ratio,freq_ratio,d_over_n,feasible,region_label",
+        " catalytic = the d/n simple permutation runs with a valid catalyst\n"
+        "beta_ratio,freq_ratio,d_over_n,feasible,region_label\n"
     ]
-    # one row per (beta, freq, region), beta outermost; each cell pair is
-    # indexed by the flag
-    cells = [
-        (f"{label},0,{region}", f"{label},1,{region}")
-        for label, region, _ in result.regions
-    ]
-    flags = np.stack([mask for _, _, mask in result.regions], axis=-1).tolist()
-    freq_texts = [fmt12(freq) for freq in result.freq_ratios]
-    for beta, beta_flags in zip(result.beta_ratios, flags):
-        beta_text = fmt12(beta)
-        for freq_text, point_flags in zip(freq_texts, beta_flags):
-            lines.extend(
-                f"{beta_text},{freq_text},{cell[flag]}"
-                for cell, flag in zip(cells, point_flags)
-            )
-    _emit("\n".join(lines) + "\n", args.output)
+    # One row per (beta, freq, region), beta outermost.  Each point's flags
+    # pack into a key, bit k for region k, and each distinct key's rows are
+    # formatted once: joining ["", row_0, ..., row_last] with the point's
+    # "beta,freq," prefix puts the prefix in front of every row.
+    flags = np.stack([mask for _, _, mask in result.regions], axis=-1)
+    packed = np.packbits(flags, axis=-1, bitorder="little")
+    keys = packed.view(f"V{packed.shape[-1]}")[..., 0].tolist()
+    blocks = {}
+    for key in set().union(*keys):
+        code = int.from_bytes(key, "little")
+        blocks[key] = [""] + [
+            f"{label},{code >> bit & 1},{region}\n"
+            for bit, (label, region, _) in enumerate(result.regions)
+        ]
+    freq_texts = [fmt12(freq) + "," for freq in result.freq_ratios]
+    for beta, beta_keys in zip(result.beta_ratios, keys):
+        beta_text = fmt12(beta) + ","
+        chunks += [
+            (beta_text + freq_text).join(blocks[key])
+            for freq_text, key in zip(freq_texts, beta_keys)
+        ]
+    _emit("".join(chunks), args.output)
     return 0
 
 

@@ -542,9 +542,22 @@ class TestRegimeMap:
         chart = ts.regime_map(["5/3", "63/2", "1/2"], (1.01, 40.0), (0.05, 2.5), 10)
         assert chart.regions[3][2].any()
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            ts.regime_map(["65"], (1.1, 1.9), (0.2, 1.8), 4)
+    def test_no_dimension_cap(self):
+        # the window costs the same for any d, so d > 64 is flagged like any other
+        chart = ts.regime_map(["65", "130/3"], (1.01, 80.0), (0.05, 2.5), 12)
+        product = np.multiply.outer(chart.beta_ratios, chart.freq_ratios)
+        for quality, (label, _, mask) in zip((65, Fraction(130, 3)), chart.regions[2:]):
+            assert label == f"{quality.numerator}/{quality.denominator}"
+            assert mask.any()
+            expected = catalysis._catalytic_window(float(quality), chart.freq_ratios, product)
+            np.testing.assert_array_equal(mask, expected)
+
+    def test_row_guard(self, monkeypatch):
+        # rows = resolution**2 * (2 + number of ratios), refused past the cap
+        monkeypatch.setattr(catalysis, "MAX_REGIME_ROWS", 20)
+        assert len(ts.regime_map(["2", "3", "4"], (1.1, 1.9), (0.2, 1.8), 2).regions) == 5
+        with pytest.raises(ts.GuardExceededError, match="24 rows exceeds the cap 20"):
+            ts.regime_map(["2", "3", "4", "5"], (1.1, 1.9), (0.2, 1.8), 2)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 
 import twostroke as ts
 from twostroke import coherence, simplex
-from twostroke.cli import build_parser, main
+from twostroke.cli import build_parser, fmt12, main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -357,7 +357,7 @@ class TestRegimeMap:
         assert code == 0
         lines = out.splitlines()
         header = [line for line in lines if line.startswith("#")]
-        assert any("capped at 64" in line for line in header)
+        assert header[2] == "# catalytic rows realise d/n in lowest terms"
         data = [line for line in lines if line and not line.startswith("#")]
         assert data[0] == "beta_ratio,freq_ratio,d_over_n,feasible,region_label"
         # 6x6 grid, each point: carnot + otto + two catalytic rows
@@ -384,11 +384,80 @@ class TestRegimeMap:
         assert err == "error: regime map range ends must be finite\n"
 
     def test_bad_ratio(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "regime-map", "--d-over-n", "65", "--resolution", "4"
         )
-        assert code == 2
-        assert "cap" in err
+        assert (code, err) == (0, "")
+        assert out.count(",65/1,") == 16
+        code, out, err = run_cli(
+            capsys, "regime-map", "--d-over-n", "2,1e400", "--resolution", "4"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: d/n ratio '1e400' exceeds the float range\n"
+
+    def test_oversize_grid(self, capsys):
+        code, out, err = run_cli(capsys, "regime-map", "--resolution", "1000000")
+        assert (code, out) == (4, "")
+        assert err == "error: regime map of 5000000000000 rows exceeds the cap 10000000\n"
+
+    @staticmethod
+    def reference_csv(chart):
+        """The CSV written one row at a time, straight from the RegimeMap."""
+        lines = [
+            "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)",
+            "# normalisation: beta_h = 1 and omega_h = 1 at every grid point",
+            "# catalytic rows realise d/n in lowest terms",
+            "# feasible: carnot = any engine possible; otto = bare hot-cold swap runs;"
+            " catalytic = the d/n simple permutation runs with a valid catalyst",
+            "beta_ratio,freq_ratio,d_over_n,feasible,region_label",
+        ]
+        for i, beta in enumerate(chart.beta_ratios):
+            for j, freq in enumerate(chart.freq_ratios):
+                for label, region, mask in chart.regions:
+                    lines.append(
+                        f"{fmt12(beta)},{fmt12(freq)},{label},{int(mask[i, j])},{region}"
+                    )
+        return "\n".join(lines) + "\n"
+
+    def test_matches_row_reference(self, capsys, tmp_path):
+        rng = np.random.default_rng(12)
+        pool = ["1/2", "1", "5/3", "63/2", "2.2", "3.2", "4", "7/5", "130/3"]
+        for case in range(16):
+            qualities = list(rng.choice(pool, size=rng.integers(1, 7), replace=False))
+            resolution = int(rng.integers(2, 61))
+            beta_lo = float(rng.uniform(1.01, 1.5))
+            beta_hi = float(rng.uniform(beta_lo + 0.1, 40.0))
+            freq_lo = float(rng.uniform(0.05, 0.5))
+            freq_hi = float(rng.uniform(freq_lo + 0.1, 2.5))
+            chart = ts.regime_map(
+                qualities, (beta_lo, beta_hi), (freq_lo, freq_hi), resolution
+            )
+            argv = [
+                "regime-map", "--d-over-n", ",".join(qualities),
+                "--resolution", str(resolution),
+                "--beta-ratio-min", repr(beta_lo), "--beta-ratio-max", repr(beta_hi),
+                "--freq-ratio-min", repr(freq_lo), "--freq-ratio-max", repr(freq_hi),
+            ]
+            if case == 0:
+                path = tmp_path / "regime.csv"
+                assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+                out = path.read_text()
+            else:
+                code, out, err = run_cli(capsys, *argv)
+                assert (code, err) == (0, "")
+            assert out == self.reference_csv(chart), argv
+
+    def test_many_regions_match_row_reference(self, capsys):
+        # 72 regions: each grid point's flags span nine bytes
+        qualities = [f"{d}/7" for d in range(8, 78)]
+        chart = ts.regime_map(qualities, (1.01, 12.0), (0.05, 2.5), 7)
+        code, out, _ = run_cli(
+            capsys, "regime-map", "--d-over-n", ",".join(qualities), "--resolution", "7",
+            "--beta-ratio-min", "1.01", "--beta-ratio-max", "12",
+            "--freq-ratio-min", "0.05", "--freq-ratio-max", "2.5",
+        )
+        assert code == 0
+        assert out == self.reference_csv(chart)
 
     def test_zero_denominator(self, capsys):
         code, out, err = run_cli(

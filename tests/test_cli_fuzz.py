@@ -141,6 +141,8 @@ def run(argv):
                "--omega-c", "1e-12", "--catalyst-dim", "2"])
 @example(argv=["regime-map", "--resolution", "3", "--freq-ratio-max", "inf"])
 @example(argv=["regime-map", "--d-over-n", "1/0", "--resolution", "2"])
+@example(argv=["regime-map", "--resolution", "1000000"])
+@example(argv=["regime-map", "--d-over-n", "1e400"])
 @example(argv=["report", "--beta-h", "0.3", "--beta-c", "1e300", "--omega-h", "0.3",
                "--omega-c", "1e308", "--simple", "4,5"])
 @example(argv=["report", "--beta-h", "-1e-3", "--beta-c", "3", "--omega-h", "1",
