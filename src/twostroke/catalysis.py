@@ -48,7 +48,7 @@ from .thermo import (
 )
 
 NEGATIVE_POPULATION_TOL = 1e-12
-MAX_REGIME_CATALYST_DIM = 64
+MAX_REGIME_CATALYST_DIM = 64  # bounds the feasible_quality search; regime_map has no cap
 MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~1.4 GB to render
 SPLIT_BLOCK_ENTRIES = 2**16  # populations per block of solved splits: flat memory in d
 
@@ -390,15 +390,14 @@ def feasible_quality(
     omega_h: float,
     omega_c: float,
     beta: InverseTemperaturePair,
-    max_dim: int = MAX_REGIME_CATALYST_DIM,
 ) -> SimplePermSpec:
     """A (d, n) split whose simple permutation runs as an engine here.
 
     An engine-mode split exists whenever beta_c*omega_c > beta_h*omega_h;
     d/n must land strictly between max(1, omega_c/omega_h) and
     beta_c*omega_c/(beta_h*omega_h), so the midpoint of that interval is
-    approximated by continued fractions until a realisation with d <= max_dim
-    verifies as an engine.
+    approximated by continued fractions until a realisation with
+    d <= MAX_REGIME_CATALYST_DIM verifies as an engine.
     """
     low = max(1.0, omega_c / omega_h)
     high = beta.beta_c * omega_c / (beta.beta_h * omega_h)
@@ -408,13 +407,13 @@ def feasible_quality(
         )
     target = Fraction((low + high) / 2.0)
     seen: set[Fraction] = set()
-    for cap in range(1, max_dim + 1):
+    for cap in range(1, MAX_REGIME_CATALYST_DIM + 1):
         quality = target.limit_denominator(cap)
         if quality in seen:
             continue
         seen.add(quality)
         d, n = quality.numerator, quality.denominator
-        if d > max_dim or not _catalytic_window(d / n, omega_c / omega_h, high):
+        if d > MAX_REGIME_CATALYST_DIM or not _catalytic_window(d / n, omega_c / omega_h, high):
             continue
         shape = SimplePermSpec(d - n, n)
         try:
@@ -427,7 +426,8 @@ def feasible_quality(
         if report.work > 0.0:
             return shape
     raise NoEngineRegimeError(
-        f"no engine-mode simple permutation with catalyst dimension <= {max_dim}"
+        "no engine-mode simple permutation with catalyst dimension <= "
+        f"{MAX_REGIME_CATALYST_DIM}"
     )
 
 

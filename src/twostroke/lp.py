@@ -153,7 +153,7 @@ def lp_work_upper_bound(
             break
         images.append(image)
         # appending a column keeps the basis primal feasible
-        basis = result.basis if len(result.basis) == rhs.size else None
+        basis = result.basis
     used = np.flatnonzero(result.x > 0.0)
     alphas = {PermutationMap(stack[k]): float(result.x[k]) for k in used}
     residuals = {
@@ -161,7 +161,7 @@ def lp_work_upper_bound(
         "weight_sum_error": float(abs(sum(alphas.values()) - 1.0)),
     }
     solution = LPSolution(
-        result.value, alphas, simplex.OPTIMAL, residuals,
+        result.value, alphas, "optimal", residuals,
         float(result.dual[0]), tuple(float(v) for v in result.dual[1:]),
         hamiltonian, initial,
     )

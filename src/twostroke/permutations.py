@@ -155,12 +155,7 @@ def optimal_noncatalytic(
     """Best work or efficiency over all permutation strokes of tau_h x tau_c."""
     if objective not in ("efficiency", "work"):
         raise ValueError(f"unknown objective {objective!r}")
-    n = hamiltonian_hot.dimension * hamiltonian_cold.dimension
-    if n > MAX_SWEEP_DIMENSION:
-        raise GuardExceededError(
-            f"working body dimension {n} exceeds the sweep guard {MAX_SWEEP_DIMENSION}"
-        )
-    images = images_array(n)
+    images = images_array(hamiltonian_hot.dimension * hamiltonian_cold.dimension)
     work, heat_hot, heat_cold = sweep_heats(
         hamiltonian_hot, hamiltonian_cold, beta.beta_h, beta.beta_c, images
     )
@@ -193,10 +188,10 @@ def canonical_qubit_images() -> tuple[tuple[int, ...], ...]:
     then the remaining images lexicographically; a stable order keeps emitted
     tables byte-identical across runs.
     """
-    rest = sorted(
-        set(itertools.permutations(range(4))) - {(0, 1, 2, 3), OTTO_SWAP_IMAGE}
+    head = ((0, 1, 2, 3), OTTO_SWAP_IMAGE)
+    return head + tuple(
+        image for image in map(tuple, images_array(4).tolist()) if image not in head
     )
-    return ((0, 1, 2, 3), OTTO_SWAP_IMAGE, *rest)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
-"""Dense two-phase primal simplex for equality-form linear programs.
+"""Dense two-phase primal simplex for the work-bound master program.
 
-Solves  maximise c.x  subject to  A x = b, x >= 0.  Pivoting follows Bland's
-rule (smallest eligible index enters, among minimum-ratio rows the one whose
-basic variable has the smallest index leaves), which rules out cycling on the
-heavily degenerate programs this package produces.  The basis inverse is not
-maintained incrementally; each iteration re-solves against the current basis,
-which is cheap at the row counts used here (a handful of constraints, many
-columns).
+Solves  maximise c.x  subject to  A x = b, x >= 0  for the programs that
+`lp.lp_work_upper_bound` builds: feasible (the identity stroke keeps the
+catalyst), bounded (a convexity row) and with b >= 0.  A negative entry of b
+raises ValueError; a program that phase one finds infeasible, or that either
+phase finds unbounded, is an internal fault and raises RuntimeError.
+Pivoting follows Bland's rule (smallest eligible index enters, among
+minimum-ratio rows the one whose basic variable has the smallest index
+leaves), which rules out cycling on the heavily degenerate programs this
+package produces.  The basis inverse is not maintained incrementally; each
+iteration re-solves against the current basis, which is cheap at the row
+counts used here (a handful of constraints, many columns).
 """
 
 from __future__ import annotations
@@ -19,24 +23,19 @@ from .errors import GuardExceededError
 
 PIVOT_TOL = 1e-9
 RATIO_TIE_TOL = 1e-12
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
+MAX_ITERATIONS = 100_000
 
 
 @dataclass
 class SimplexResult:
-    status: str
+    """The optimum; `basis` is None when phase one dropped a redundant row,
+    since it then cannot warm-start the full program."""
+
     value: float
-    x: np.ndarray | None
-    dual: np.ndarray | None
+    x: np.ndarray
+    dual: np.ndarray
     basis: list[int] | None
     iterations: int
-
-
-class _Unbounded(Exception):
-    pass
 
 
 def _iterate(
@@ -44,12 +43,13 @@ def _iterate(
     rhs: np.ndarray,
     objective: np.ndarray,
     basis: list[int],
-    max_iterations: int,
+    iterations: int,
+    phase: str,
 ) -> tuple[list[int], int]:
-    """Run primal pivots until optimal; returns the final basis."""
-    iterations = 0
+    """Run primal pivots until optimal; returns the final basis and the
+    iteration count, which starts at `iterations`."""
     while True:
-        if iterations > max_iterations:
+        if iterations > MAX_ITERATIONS:
             raise GuardExceededError("simplex iteration limit exceeded")
         base = columns[:, basis]
         multipliers = np.linalg.solve(base.T, objective[basis])
@@ -64,7 +64,7 @@ def _iterate(
         current = np.maximum(current, 0.0)
         movable = np.flatnonzero(direction > PIVOT_TOL)
         if movable.size == 0:
-            raise _Unbounded
+            raise RuntimeError(f"{phase} reported unbounded; this is a bug")
         ratios = current[movable] / direction[movable]
         best = ratios.min()
         ties = movable[ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best))]
@@ -73,33 +73,25 @@ def _iterate(
         iterations += 1
 
 
-def simplex_solve(
-    objective,
-    constraints,
-    rhs,
-    max_iterations: int = 100_000,
-    basis=None,
-) -> SimplexResult:
-    """Maximise objective.x subject to constraints.x = rhs and x >= 0.
+def simplex_solve(objective, constraints, rhs, basis=None) -> SimplexResult:
+    """Maximise objective.x subject to constraints.x = rhs >= 0 and x >= 0.
 
     Returns the optimum with the primal solution, the dual multipliers (one
     per constraint row, zeros on rows phase one proved redundant), and the
     final basis as column indices.  A `basis` returned by an earlier solve
-    that kept every row skips phase one; it must still be primal feasible,
-    as it is after columns are appended to that program.
+    skips phase one; it must still be primal feasible, as it is after
+    columns are appended to that program.
     """
-    columns = np.array(constraints, dtype=float)
-    rhs = np.array(rhs, dtype=float)
+    columns = np.asarray(constraints, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     objective = np.asarray(objective, dtype=float)
     if columns.ndim != 2:
         raise ValueError("constraints must be a matrix")
     n_rows, n_cols = columns.shape
     if rhs.shape != (n_rows,) or objective.shape != (n_cols,):
         raise ValueError("objective/rhs shapes do not match the constraints")
-
-    flip = rhs < 0
-    columns[flip] *= -1.0
-    rhs[flip] *= -1.0
+    if (rhs < 0).any():
+        raise ValueError("rhs must be non-negative")
 
     kept_rows = list(range(n_rows))
     iterations = 0
@@ -110,17 +102,12 @@ def simplex_solve(
         phase_columns = np.hstack([columns, np.eye(n_rows)])
         phase_objective = np.concatenate([np.zeros(n_cols), -np.ones(n_rows)])
         basis = list(range(n_cols, n_cols + n_rows))
-        try:
-            basis, iterations = _iterate(
-                phase_columns, rhs, phase_objective, basis, max_iterations
-            )
-        except _Unbounded:  # phase one is bounded below by construction
-            raise RuntimeError("phase one reported unbounded; this is a bug")
+        basis, iterations = _iterate(phase_columns, rhs, phase_objective, basis, 0, "phase one")
         artificial_level = float(
             phase_objective[basis] @ np.linalg.solve(phase_columns[:, basis], rhs)
         )
         if artificial_level < -PIVOT_TOL:
-            return SimplexResult(INFEASIBLE, 0.0, None, None, None, iterations)
+            raise RuntimeError("phase one found the program infeasible; this is a bug")
 
         # Pivot leftover artificials out of the basis; rows that cannot be
         # pivoted are linearly dependent on the others and get dropped.
@@ -144,19 +131,14 @@ def simplex_solve(
             rhs = rhs[kept_rows]
             basis = [basis[p] for p in kept_rows]
 
-    try:
-        basis, used = _iterate(columns, rhs, objective, basis, max_iterations - iterations)
-    except _Unbounded:
-        return SimplexResult(UNBOUNDED, float("inf"), None, None, None, iterations)
-    iterations += used
+    basis, iterations = _iterate(columns, rhs, objective, basis, iterations, "phase two")
 
     base = columns[:, basis]
     primal_basic = np.maximum(np.linalg.solve(base, rhs), 0.0)
     x = np.zeros(n_cols)
     x[basis] = primal_basic
-    dual_kept = np.linalg.solve(base.T, objective[basis])
     dual = np.zeros(n_rows)
-    for where, row in enumerate(kept_rows):
-        dual[row] = dual_kept[where] * (-1.0 if flip[row] else 1.0)
+    dual[kept_rows] = np.linalg.solve(base.T, objective[basis])
     value = float(objective @ x)
-    return SimplexResult(OPTIMAL, value, x, dual, list(basis), iterations)
+    warm_basis = basis if len(kept_rows) == n_rows else None
+    return SimplexResult(value, x, dual, warm_basis, iterations)

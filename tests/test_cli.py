@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shlex
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import twostroke as ts
-from twostroke import coherence, simplex
+from twostroke import coherence, lp, simplex
 from twostroke.cli import build_parser, fmt12, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -547,13 +548,27 @@ class TestLpBound:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: ")
 
-    def test_iteration_limit_exit_code(self, capsys, monkeypatch):
-        solve = simplex.simplex_solve
-        # the master program needs only a few pivots, so allow none
-        monkeypatch.setattr(
-            simplex, "simplex_solve",
-            lambda *args, **kwargs: solve(*args, **kwargs, max_iterations=0),
+    @pytest.mark.parametrize(
+        "golden, dim, populations",
+        [
+            # the README example
+            ("lp_bound_readme.json", "2", "0.7,0.3"),
+            ("lp_bound_dim4.json", "4", "0.4,0.3,0.2,0.1"),
+        ],
+    )
+    def test_matches_golden(self, capsys, golden, dim, populations):
+        code, out, _ = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", "1", "--beta-c", "3",
+            "--omega-h", "1", "--omega-c", "0.5",
+            "--catalyst-dim", dim, "--catalyst-populations", populations,
         )
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
+
+    def test_iteration_limit_exit_code(self, capsys, monkeypatch):
+        # the master program needs only a few pivots, so allow none
+        monkeypatch.setattr(simplex, "MAX_ITERATIONS", 0)
         code, out, err = run_cli(
             capsys,
             "lp-bound", "--beta-h", "1", "--beta-c", "3",
@@ -576,6 +591,27 @@ class TestLpBound:
         assert code == 4
         assert out == ""
         assert err == "error: phase one reported unbounded; this is a bug\n"
+
+    def test_infeasible_master_exit_code(self, capsys, monkeypatch):
+        build = lp.build_work_bound_problem
+
+        def all_in_block_zero(hamiltonian, initial, catalyst_dim, images):
+            # no column keeps the catalyst, so the master has no feasible point
+            problem = build(hamiltonian, initial, catalyst_dim, images)
+            marginals = np.zeros_like(problem.marginals)
+            marginals[:, 0] = 1.0
+            return dataclasses.replace(problem, marginals=marginals)
+
+        monkeypatch.setattr(lp, "build_work_bound_problem", all_in_block_zero)
+        code, out, err = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", "1", "--beta-c", "3",
+            "--omega-h", "1", "--omega-c", "0.5",
+            "--catalyst-dim", "2", "--catalyst-populations", "0.7,0.3",
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "error: phase one found the program infeasible; this is a bug\n"
 
     @pytest.mark.parametrize(
         "beta_h, beta_c, omega_h",

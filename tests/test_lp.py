@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import twostroke as ts
-from twostroke import lp
+from twostroke import lp, simplex
 from twostroke.permutations import images_array
 
 
@@ -242,6 +242,38 @@ class TestPricing:
                 column = lp.build_work_bound_problem(hamiltonian, initial, d_s, image[None])
                 own = column.work[0] - y - column.marginals[0, :-1] @ x
                 assert own == pytest.approx(reduced, abs=1e-12)
+
+
+class TestWarmStartPin:
+    @pytest.mark.parametrize(
+        "catalyst, rounds, warm, pivots",
+        [
+            ([0.7, 0.3], 4, 2, 4),
+            ([0.5, 0.3, 0.2], 9, 6, 10),
+            ([0.4, 0.3, 0.2, 0.1], 11, 7, 16),
+        ],
+    )
+    def test_round_counts(self, monkeypatch, catalyst, rounds, warm, pivots):
+        # rounds whose master is rank-deficient cold-start; the rest reuse
+        # the previous basis, so a change to the warm-start rule shows here
+        solve = simplex.simplex_solve
+        calls = []
+
+        def counted(*args, basis=None):
+            result = solve(*args, basis=basis)
+            calls.append((basis is not None, result.iterations))
+            return result
+
+        monkeypatch.setattr(simplex, "simplex_solve", counted)
+        hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5)
+        initial = ts.product_state(
+            catalyst, ts.gibbs_populations(hot, 1.0), ts.gibbs_populations(cold, 3.0)
+        )
+        hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(len(catalyst)), hot, cold)
+        lp.lp_work_upper_bound(hamiltonian, initial, len(catalyst))
+        assert len(calls) == rounds
+        assert sum(warmed for warmed, _ in calls) == warm
+        assert sum(used for _, used in calls) == pivots
 
 
 class TestGuardFallback:

@@ -13,7 +13,6 @@ class TestKnownPrograms:
     def test_single_constraint(self):
         # max 2x + y on the simplex x + y = 1
         result = solve([2.0, 1.0], [[1.0, 1.0]], [1.0])
-        assert result.status == simplex.OPTIMAL
         assert result.value == pytest.approx(2.0, abs=1e-12)
         assert result.x.tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
         assert result.dual.tolist() == pytest.approx([2.0], abs=1e-12)
@@ -33,23 +32,23 @@ class TestKnownPrograms:
 
     def test_infeasible(self):
         # x1 + x2 = 1 and x1 + x2 = 2 cannot both hold
-        result = solve([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-        assert result.status == simplex.INFEASIBLE
+        with pytest.raises(RuntimeError, match="phase one found the program infeasible"):
+            solve([1.0, 0.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
 
     def test_redundant_row_dropped(self):
         result = solve([3.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
-        assert result.status == simplex.OPTIMAL
         assert result.value == pytest.approx(3.0, abs=1e-12)
+        # the basis covers only the kept row, so it cannot warm-start this program
+        assert result.basis is None
 
     def test_unbounded(self):
         # x1 - x2 = 0 lets (t, t) grow without limit under c = (1, 1)
-        result = solve([1.0, 1.0], [[1.0, -1.0]], [0.0])
-        assert result.status == simplex.UNBOUNDED
+        with pytest.raises(RuntimeError, match="phase two reported unbounded"):
+            solve([1.0, 1.0], [[1.0, -1.0]], [0.0])
 
-    def test_negative_rhs_normalised(self):
-        result = solve([1.0, 0.0], [[-1.0, -1.0]], [-1.0])
-        assert result.status == simplex.OPTIMAL
-        assert result.value == pytest.approx(1.0, abs=1e-12)
+    def test_negative_rhs_rejected(self):
+        with pytest.raises(ValueError, match="rhs must be non-negative"):
+            solve([1.0, 0.0], [[-1.0, -1.0]], [-1.0])
 
 
 class TestAgainstScipy:
@@ -66,7 +65,6 @@ class TestAgainstScipy:
             if not reference.success:
                 continue
             result = solve(c, a, b)
-            assert result.status == simplex.OPTIMAL
             assert result.value == pytest.approx(-reference.fun, abs=1e-8)
             # dual feasibility of the returned multipliers
             reduced = c - result.dual @ a
@@ -85,7 +83,6 @@ class TestAgainstScipy:
             b = a @ (np.ones(cols) / cols)
             c = np.tile(rng.normal(size=3), 10)
             result = solve(c, a, b)
-            assert result.status == simplex.OPTIMAL
             reference = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
             assert result.value == pytest.approx(-reference.fun, abs=1e-8)
 
@@ -102,7 +99,6 @@ class TestWarmStart:
             assert len(first.basis) == 3
             warm = simplex.simplex_solve(c, a, b, basis=first.basis)
             cold = solve(c, a, b)
-            assert warm.status == simplex.OPTIMAL
             assert warm.value == pytest.approx(cold.value, abs=1e-10)
             assert np.abs(a @ warm.x - b).max() <= 1e-10
             assert (c - warm.dual @ a).max() <= 1e-9
