@@ -19,7 +19,9 @@ one table of powers, and one slice of it when the cold segment runs
 backward); `delta_p_closed_form` gives the same transfer in closed form away
 from its poles.  Where the work is positive needs no solve at all: exactly
 inside the window max(1, omega_c/omega_h) < d/n <
-beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a grid.
+beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a grid
+and which also decides `feasible_quality` and
+`optimal_simple_perm_efficiency`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import (
 )
 from .permutations import PermutationMap, ergotropy
 from .thermo import (
-    ENGINE,
     CycleReport,
     InverseTemperaturePair,
     Spectrum,
@@ -274,10 +275,14 @@ def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) 
         return -math.inf
 
 
-def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> tuple[float, float]:
-    """Validated exp(-beta*omega) of both excited qubit levels, (bh, bc)."""
+def _check_spacings(omega_h: float, omega_c: float) -> None:
     if not (omega_h > 0.0 and omega_c > 0.0):
         raise ValueError("level spacings must be positive")
+
+
+def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> tuple[float, float]:
+    """Validated exp(-beta*omega) of both excited qubit levels, (bh, bc)."""
+    _check_spacings(omega_h, omega_c)
     return _check_boltzmann(math.exp(-beta.beta_h * omega_h), math.exp(-beta.beta_c * omega_c))
 
 
@@ -349,9 +354,13 @@ def optimal_simple_perm_efficiency(
 
     Requires omega_c/omega_h <= d <= beta_c*omega_c/(beta_h*omega_h), the
     window in which the single-cold-swap ladder runs below the Carnot bound;
-    the optimum is then 1 - omega_c/(d*omega_h), verified here against the
-    full (m, n) sweep.
+    the optimum is then 1 - omega_c/(d*omega_h).  The efficiency
+    1 - n*omega_c/(d*omega_h) falls as n grows and the (d - 1, 1) ladder runs
+    wherever its d/1 lies in `_catalytic_window`, so the ladder is the
+    optimum by construction.  At d = beta_c*omega_c/(beta_h*omega_h) it sits
+    at the Carnot limit with zero work.
     """
+    _check_spacings(omega_h, omega_c)
     d = int(catalyst_dim)
     lower = omega_c / omega_h
     upper = beta.beta_c * omega_c / (beta.beta_h * omega_h)
@@ -360,18 +369,7 @@ def optimal_simple_perm_efficiency(
             f"catalyst dimension {d} outside the admissible window "
             f"[{lower:.6g}, {upper:.6g}]"
         )
-    best = _rational_efficiency(SimplePermSpec(d - 1, 1), omega_h, omega_c)
-    swept = [
-        report.efficiency
-        for _, report, _ in sweep_simple_perms(d, omega_h, omega_c, beta)
-        if ENGINE in report.modes and report.efficiency is not None
-    ]
-    if swept and abs(max(swept) - best) > 1e-10:
-        raise RuntimeError(
-            "sweep maximum disagrees with the closed-form optimum; "
-            f"{max(swept)!r} vs {best!r}"
-        )
-    return best
+    return _rational_efficiency(SimplePermSpec(d - 1, 1), omega_h, omega_c)
 
 
 def _catalytic_window(quality, freq_ratio, exponent_ratio):
@@ -391,40 +389,29 @@ def feasible_quality(
     omega_c: float,
     beta: InverseTemperaturePair,
 ) -> SimplePermSpec:
-    """A (d, n) split whose simple permutation runs as an engine here.
+    """The (d, n) split with the smallest d, then the fewest n, whose simple
+    permutation runs as an engine here, over d <= MAX_REGIME_CATALYST_DIM.
 
-    An engine-mode split exists whenever beta_c*omega_c > beta_h*omega_h;
-    d/n must land strictly between max(1, omega_c/omega_h) and
-    beta_c*omega_c/(beta_h*omega_h), so the midpoint of that interval is
-    approximated by continued fractions until a realisation with
-    d <= MAX_REGIME_CATALYST_DIM verifies as an engine.
+    An engine-mode split exists whenever beta_c*omega_c > beta_h*omega_h:
+    its d/n lies in `_catalytic_window`, strictly between
+    max(1, omega_c/omega_h) and beta_c*omega_c/(beta_h*omega_h), so no flow
+    equations are solved.  The split is in lowest terms, since a reducible
+    d/n has an equal ratio with smaller d that comes first.  At deep-hot or
+    deep-cold parameters the float work of the returned split may underflow
+    to 0 while its exact work is positive.
     """
-    low = max(1.0, omega_c / omega_h)
+    _check_spacings(omega_h, omega_c)
+    freq_ratio = omega_c / omega_h
+    low = max(1.0, freq_ratio)
     high = beta.beta_c * omega_c / (beta.beta_h * omega_h)
     if not high > low:
         raise NoEngineRegimeError(
             f"no engine regime: d/n window ({low:.6g}, {high:.6g}) is empty"
         )
-    target = Fraction((low + high) / 2.0)
-    seen: set[Fraction] = set()
-    for cap in range(1, MAX_REGIME_CATALYST_DIM + 1):
-        quality = target.limit_denominator(cap)
-        if quality in seen:
-            continue
-        seen.add(quality)
-        d, n = quality.numerator, quality.denominator
-        if d > MAX_REGIME_CATALYST_DIM or not _catalytic_window(d / n, omega_c / omega_h, high):
-            continue
-        shape = SimplePermSpec(d - n, n)
-        try:
-            report, _ = simple_perm_report(shape, omega_h, omega_c, beta)
-        except InfeasibleCatalystError:
-            continue
-        # Strictly inside the window the true work is positive however small
-        # (deep-cold parameters push it far below the engine-mode threshold),
-        # so the verification is the sign, not the mode label.
-        if report.work > 0.0:
-            return shape
+    for d in range(2, MAX_REGIME_CATALYST_DIM + 1):
+        for n in range(1, d):
+            if _catalytic_window(d / n, freq_ratio, high):
+                return SimplePermSpec(d - n, n)
     raise NoEngineRegimeError(
         "no engine-mode simple permutation with catalyst dimension <= "
         f"{MAX_REGIME_CATALYST_DIM}"

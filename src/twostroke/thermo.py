@@ -175,9 +175,7 @@ def combined_spectrum(catalyst: Spectrum, hot: Spectrum, cold: Spectrum) -> Spec
     return Spectrum(tuple(total.reshape(-1)))
 
 
-def classify_modes(
-    work: float, heat_hot: float, heat_cold: float, tol: float = MODE_TOL
-) -> frozenset[str]:
+def classify_modes(work: float, heat_hot: float, heat_cold: float) -> frozenset[str]:
     """Operating modes of a stroke.
 
     The definitions overlap on their boundaries (a zero-work stroke drawing
@@ -185,13 +183,13 @@ def classify_modes(
     is returned rather than an arbitrary single one.
     """
     modes = set()
-    if work > tol:
+    if work > MODE_TOL:
         modes.add(ENGINE)
-    if work < -tol and heat_cold > tol:
+    if work < -MODE_TOL and heat_cold > MODE_TOL:
         modes.add(COOLER)
-    if work <= tol and heat_hot >= -tol:
+    if work <= MODE_TOL and heat_hot >= -MODE_TOL:
         modes.add(ACCELERATOR)
-    if abs(work) <= tol and abs(heat_hot) <= tol and abs(heat_cold) <= tol:
+    if abs(work) <= MODE_TOL and abs(heat_hot) <= MODE_TOL and abs(heat_cold) <= MODE_TOL:
         modes.add(DEGENERATE)
     return frozenset(modes)
 

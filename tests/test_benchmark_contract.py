@@ -82,3 +82,22 @@ def test_regime_checker_accepts_the_window():
     for i in range(20):
         inp = workloads.regime_input(np.random.default_rng([1, i]))
         assert workloads.regime_check(mods, inp, workloads.regime_run(mods, inp)) == []
+
+
+def test_one_clean_job_per_workload(monkeypatch):
+    # the workloads also read names outside the tracer's list (for instance
+    # catalysis.delta_p_closed_form and errors.InfeasibleCatalystError), so
+    # one checked job of each must run on the modules the benchmark loads
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    package = {
+        name: module for name, module in sys.modules.items() if name.split(".")[0] == "twostroke"
+    }
+    try:
+        harness = importlib.import_module("harness")
+        mods = harness.load_twostroke()
+        for name, workload in harness.WORKLOADS.items():
+            workload.warm(mods)
+            inp = workload.make_input(np.random.default_rng([1, 0]))
+            assert harness.check(workload, mods, inp, workload.run(mods, inp)) == [], name
+    finally:
+        sys.modules.update(package)  # later tests keep the modules they imported

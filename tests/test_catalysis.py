@@ -450,6 +450,16 @@ class TestOptimalSimplePermEfficiency:
         with pytest.raises(ValueError, match="window"):
             ts.optimal_simple_perm_efficiency(13, 1.0, 1.5, self.BETA)  # d > bc*wc
 
+    def test_ladder_work_below_mode_threshold(self):
+        # the (29, 1) ladder's float work is about 8e-13, under the engine-mode
+        # threshold; inside the window the closed form is the answer regardless
+        beta = ts.InverseTemperaturePair(1.0, 25.0)
+        assert ts.optimal_simple_perm_efficiency(30, 1.0, 1.5, beta) == 1.0 - 1.5 / 30
+
+    def test_nonpositive_spacings_rejected(self):
+        with pytest.raises(ValueError, match="spacings"):
+            ts.optimal_simple_perm_efficiency(2, -1.0, -1.5, self.BETA)
+
 
 class TestFeasibleQuality:
     def test_worked_example_regime(self):
@@ -479,6 +489,52 @@ class TestFeasibleQuality:
         beta = ts.InverseTemperaturePair(1.0, 1.2)
         with pytest.raises(ts.NoEngineRegimeError):
             ts.feasible_quality(1.0, 0.1, beta)  # bc*wc = 0.12 << bh*wh = 1
+
+    def test_nonpositive_spacings_rejected(self):
+        with pytest.raises(ValueError, match="spacings"):
+            ts.feasible_quality(-1.0, -0.5, ts.InverseTemperaturePair(1.0, 4.0))
+
+    def test_window_midpoint_above_cap(self):
+        # window (2, 200): its midpoint 101 has no convergent with d <= 64
+        shape = ts.feasible_quality(1.0, 2.0, ts.InverseTemperaturePair(0.05, 5.0))
+        assert shape == ts.SimplePermSpec(2, 1)
+
+    def test_smallest_split_at_deep_parameters(self):
+        # splits with a large d have transfers of about bh**m that underflow
+        # to 0; the bare-swap ladder (1, 1) still has float work 2.7e-35
+        beta = ts.InverseTemperaturePair(40.0, 4000.0)
+        shape = ts.feasible_quality(1.0, 0.5, beta)
+        assert shape == ts.SimplePermSpec(1, 1)
+        report, _ = ts.simple_perm_report(shape, 1.0, 0.5, beta)
+        assert report.work > 0.0
+
+    def test_first_split_in_window_over_wide_ranges(self):
+        rng = np.random.default_rng(0)
+        refused = 0
+        for _ in range(2000):
+            omega_c = math.exp(rng.uniform(-3.0, 3.0))
+            hot_exponent = math.exp(rng.uniform(-3.0, 6.0))  # omega_h = 1
+            beta = ts.InverseTemperaturePair(
+                hot_exponent, hot_exponent * math.exp(rng.uniform(0.0, 6.0))
+            )
+            low = max(1.0, omega_c)
+            high = beta.beta_c * omega_c / beta.beta_h
+            first = next(
+                (
+                    ts.SimplePermSpec(d - n, n)
+                    for d in range(2, MAX_REGIME_CATALYST_DIM + 1)
+                    for n in range(1, d)
+                    if low < d / n < high
+                ),
+                None,
+            )
+            if first is None:
+                refused += 1
+                with pytest.raises(ts.NoEngineRegimeError):
+                    ts.feasible_quality(1.0, omega_c, beta)
+            else:
+                assert ts.feasible_quality(1.0, omega_c, beta) == first
+        assert 0 < refused < 2000
 
 
 class TestRegimeMap:
