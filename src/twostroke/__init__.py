@@ -35,7 +35,6 @@ from .errors import (
     DegeneratePointError,
     EngineError,
     GuardExceededError,
-    InfeasibleCatalystError,
     NoEngineRegimeError,
 )
 from .lp import LPSolution, WorkBoundProblem, lp_dual_check, lp_work_upper_bound
@@ -72,7 +71,6 @@ __all__ = [
     "DegeneratePointError",
     "EngineError",
     "GuardExceededError",
-    "InfeasibleCatalystError",
     "InverseTemperaturePair",
     "LPSolution",
     "NoEngineRegimeError",

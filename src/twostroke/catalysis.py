@@ -36,7 +36,6 @@ import numpy as np
 from .errors import (
     DegeneratePointError,
     GuardExceededError,
-    InfeasibleCatalystError,
     NoEngineRegimeError,
 )
 from .permutations import PermutationMap, ergotropy
@@ -52,6 +51,7 @@ NEGATIVE_POPULATION_TOL = 1e-12
 MAX_REGIME_CATALYST_DIM = 64  # bounds the feasible_quality search; regime_map has no cap
 MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~1.4 GB to render
 SPLIT_BLOCK_ENTRIES = 2**16  # populations per block of solved splits: flat memory in d
+MAX_FLOW_ENTRIES = 2**22  # populations per flow solve, d x splits: fig5 up to d = 2048
 
 
 @dataclass(frozen=True)
@@ -137,49 +137,62 @@ def _check_boltzmann(boltz_hot: float, boltz_cold: float) -> tuple[float, float]
 
 
 def _solve_flow_balance(
-    d: int, n: np.ndarray, boltz_hot: float, boltz_cold: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    d: int, n: Sequence[int], boltz_hot: float, boltz_cold: float
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Catalyst populations and block transfer of every (d - n, n) split at
-    one pair of Boltzmann factors.
+    one pair of Boltzmann factors; `n` is a range or an array of split counts.
 
     With N = 1/((1 + bh)(1 + bc)) block k balances N*bh*p_k - N*x*p_{k+1} =
     transfer (p_d = p_0), with x = 1 for the m = d - n ground-dropping blocks
-    and x = bc for the n cold-raising ones.  These two-term recurrences give
-    every population as a_k*p_0 + c_k*v, v = transfer/(N*max(bh, bc)); the
-    balance they leave out and the normalisation fix (p_0, v) by Cramer's
-    rule.  The hot segment runs forward from p_0 in powers of bh; the cold
-    segment runs backward from p_0 in powers of bc/bh when bc <= bh and
-    forward from p_m in powers of bh/bc otherwise, so no power or partial sum
-    grows.  Splits index one table of powers; backward, block k's cold
-    coefficients sit at j = d - k for every split (one shared slice), forward
-    each split reads its own window, from its m.
+    and x = bc for the n cold-raising ones.  The catalyst is thus the
+    stationary vector of a Markov chain on the blocks: block k steps forward
+    with probability N*bh and back with probability N*x.  Staying has
+    probability at least 1 - N*(1 + bh) = 1 - 1/(1 + bc) >= 0 and the forward
+    steps close a cycle through every block, so the chain is irreducible and
+    its stationary vector unique and strictly positive.  A non-finite
+    population, or one below -NEGATIVE_POPULATION_TOL, is therefore a fault
+    of this solver and raises RuntimeError (exit 4).
 
-    Yields (n, unclipped populations (splits, d), transfer, feasible) for
-    consecutive blocks of the splits `n`, each of at most SPLIT_BLOCK_ENTRIES
-    populations; feasible means finite with no population below
-    -NEGATIVE_POPULATION_TOL.  Each number equals a one-split solve's.
+    The recurrences give every population as a_k*p_0 + c_k*v,
+    v = transfer/(N*max(bh, bc)); the balance they leave out and the
+    normalisation fix (p_0, v) by Cramer's rule.  The hot segment runs
+    forward from p_0 in powers of bh; the cold segment runs backward from p_0
+    in powers of bc/bh when bc <= bh and forward from p_m in powers of bh/bc
+    otherwise, so no power or partial sum grows.  Splits index one table of
+    powers; backward, block k's cold coefficients sit at j = d - k for every
+    split (one shared slice), forward each split reads its own window, from
+    its m.
+
+    Yields (n, unclipped populations (splits, d), transfer) for consecutive
+    blocks of the splits, each of at most SPLIT_BLOCK_ENTRIES populations;
+    each number equals a one-split solve's.  More than MAX_FLOW_ENTRIES
+    populations in all, d * len(n), raise GuardExceededError (exit 4) before
+    anything is allocated.
     """
+    if d * len(n) > MAX_FLOW_ENTRIES:
+        raise GuardExceededError(
+            f"flow solve of {d * len(n)} catalyst populations exceeds the cap {MAX_FLOW_ENTRIES}"
+        )
     bh, bc = boltz_hot, boltz_cold
-    splits = n.tolist()
     top = max(bh, bc)
     backward = bc <= bh
     # [a; c] tables, S_j = sum of the powers below j (R_j in the cold segment):
     # hot[:, k] = [bh^k; -top*S_k] gives blocks 0..m, p_k = bh^k p_0 - top*S_k v;
     # cold[:, j] = [r^j; R_j], j steps from either end of the cold segment:
     # backward p_{d-j} = r^j p_0 + R_j v, forward p_{m+j} = r^j p_m - R_j v
-    hot = np.empty((2, d - min(splits) + 1))
-    cold = np.empty((2, max(splits) + 1))
+    hot = np.empty((2, d - min(n) + 1))
+    cold = np.empty((2, max(n) + 1))
     for table, base in ((hot, bh), (cold, min(bh, bc) / top)):
         np.power(base, np.arange(table.shape[1]), out=table[0])
         table[1, 0] = 0.0
         np.cumsum(table[0, :-1], out=table[1, 1:])
     hot[1] *= -top
     step = max(1, SPLIT_BLOCK_ENTRIES // d)
-    for start in range(0, n.size, step):
-        block_n = n[start : start + step]
+    for start in range(0, len(n), step):
+        block_n = np.asarray(n[start : start + step])
         block_m = d - block_n
-        lo = d - max(splits[start : start + step])
-        hi = d - min(splits[start : start + step])
+        lo = d - int(block_n.max())
+        hi = d - int(block_n.min())
         # columns lo+1..d-1: hot up to each split's m, cold past it
         cols = np.arange(lo + 1, d)
         end = hot[:, block_m]
@@ -210,19 +223,11 @@ def _solve_flow_balance(
             pops = ac[0] * p_0[:, None] + ac[1] * v[:, None]
             transfer = v * top / ((1.0 + bh) * (1.0 + bc))
         # det == 0 leaves p_0 = pops[:, 0] non-finite, so finite pops imply a finite transfer
-        feasible = np.isfinite(pops).all(axis=1) & (pops.min(axis=1) >= -NEGATIVE_POPULATION_TOL)
-        yield block_n, pops, transfer, feasible
-
-
-def _catalyst_state(pops: np.ndarray, transfer: float, feasible: bool) -> CatalystState:
-    """The catalyst of one solved split, or the error its solve calls for."""
-    if not feasible:
-        if not np.isfinite(pops).all():
-            raise ValueError("singular flow system")
-        raise InfeasibleCatalystError(
-            f"infeasible catalyst: solved population {pops.min():.3e} is negative"
-        )
-    return CatalystState(np.clip(pops, 0.0, None), transfer)
+        if not np.isfinite(pops).all() or pops.min() < -NEGATIVE_POPULATION_TOL:
+            raise RuntimeError(
+                "flow solve gave a negative or non-finite catalyst population; this is a bug"
+            )
+        yield block_n, pops, transfer
 
 
 def solve_catalyst_state(
@@ -232,13 +237,13 @@ def solve_catalyst_state(
     balance equations.
 
     `boltz_hot`/`boltz_cold` are the excited-level Boltzmann factors
-    exp(-beta*omega) of the hot and cold qubits.  Populations more negative
-    than 1e-12 mean no valid catalyst exists for these parameters and raise
-    InfeasibleCatalystError; tinier negatives are clipped to zero.
+    exp(-beta*omega) of the hot and cold qubits.  The catalyst always exists
+    (see `_solve_flow_balance`); rounding negatives no larger than
+    NEGATIVE_POPULATION_TOL are clipped to zero.
     """
     boltz = _check_boltzmann(boltz_hot, boltz_cold)
-    [(_, pops, transfer, feasible)] = _solve_flow_balance(shape.d, np.array([shape.n]), *boltz)
-    return _catalyst_state(pops[0], transfer[0], feasible[0])
+    [(_, pops, transfer)] = _solve_flow_balance(shape.d, [shape.n], *boltz)
+    return CatalystState(np.clip(pops[0], 0.0, None), transfer[0])
 
 
 def delta_p_closed_form(
@@ -322,10 +327,9 @@ def sweep_simple_perms(
     omega_c: float,
     beta: InverseTemperaturePair,
 ) -> list[tuple[SimplePermSpec, CycleReport, CatalystState]]:
-    """Reports for every (m, n) split of a d-block catalyst, increasing n,
-    from one flow solve over all splits.
-
-    Splits whose flow equations admit no nonnegative catalyst are skipped.
+    """Reports for all d splits (d - n, n) of a d-block catalyst, n = 1..d,
+    from one flow solve over all splits; populations are clipped as in
+    `solve_catalyst_state`.
     """
     d = int(catalyst_dim)
     if d < 1:
@@ -333,13 +337,10 @@ def sweep_simple_perms(
     omega_h, omega_c = float(omega_h), float(omega_c)
     boltz = _qubit_boltzmann(omega_h, omega_c, beta)
     out = []
-    for block_n, pops, transfer, feasible in _solve_flow_balance(d, np.arange(1, d + 1), *boltz):
-        for n, row, delta_p, ok in zip(block_n.tolist(), pops, transfer, feasible):
-            try:
-                catalyst = _catalyst_state(row, delta_p, ok)
-            except InfeasibleCatalystError:
-                continue
+    for block_n, pops, transfer in _solve_flow_balance(d, range(1, d + 1), *boltz):
+        for n, row, delta_p in zip(block_n.tolist(), pops, transfer):
             shape = SimplePermSpec(d - n, n)
+            catalyst = CatalystState(np.clip(row, 0.0, None), delta_p)
             out.append((shape, _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst))
     return out
 
@@ -552,11 +553,7 @@ def fig_work_vs_cold_swaps(
         ),
     )
     boltz = _qubit_boltzmann(omega_h, omega_c, beta)
+    transfers = [transfer for _, _, transfer in _solve_flow_balance(d, range(1, d + 1), *boltz)]
     splits = np.arange(1, d + 1)
-    transfers = []
-    for _, pops, transfer, feasible in _solve_flow_balance(d, splits, *boltz):
-        if not feasible.all():  # raise for the first split without a catalyst
-            _catalyst_state(pops[np.argmin(feasible)], 0.0, False)
-        transfers.append(transfer)
     heat_hot, heat_cold = _heats(d, splits, omega_h, omega_c, np.concatenate(transfers))
     return list(zip(splits.tolist(), (heat_hot + heat_cold).tolist(), [baseline] * d))

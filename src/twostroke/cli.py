@@ -7,11 +7,15 @@ byte-for-byte across runs and platforms.
 
 Exit codes: 0 success, 1 a violated physics invariant (a failed coherence
 check), 2 usage or configuration error (any other ValueError) or non-finite
-result, 3 infeasible catalyst or no engine regime, 4 size or iteration guard
-exceeded or an internal fault (a RuntimeError).  A failure prints one
-`error:` line and no stdout, except optimize's exit 3 (its JSON).
+result, 3 no engine regime, 4 size or iteration guard exceeded or an
+internal fault (a RuntimeError).  A flow solve that yields a negative or
+non-finite catalyst is such a fault: a simple permutation's catalyst always
+exists, so the former exit 3 "infeasible catalyst" is now exit 4.  A failure
+prints one `error:` line and no stdout, except optimize's exit 3 (its JSON).
 `regime-map` exits 4 on a grid of more than `catalysis.MAX_REGIME_ROWS` CSV
-rows (resolution**2 * (2 + number of d/n ratios)), before any allocation.
+rows (resolution**2 * (2 + number of d/n ratios)), `report --simple` and
+`fig5` on more than `catalysis.MAX_FLOW_ENTRIES` solved catalyst populations
+(d, or d**2 for fig5), both before any allocation.
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
 The parser is built once per process, on the first `main` call, and reused.
 """
@@ -32,7 +36,6 @@ from .errors import (
     ConfigError,
     CoherenceCheckError,
     GuardExceededError,
-    InfeasibleCatalystError,
     NoEngineRegimeError,
 )
 
@@ -416,7 +419,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return args.func(args)
     except (ValueError, RuntimeError, CoherenceCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, (NoEngineRegimeError, InfeasibleCatalystError)):
+        if isinstance(exc, NoEngineRegimeError):
             return 3
         if isinstance(exc, (GuardExceededError, RuntimeError)):
             return 4

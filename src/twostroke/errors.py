@@ -17,10 +17,6 @@ class GuardExceededError(EngineError, ValueError):
     """A size guard or the simplex iteration limit was exceeded."""
 
 
-class InfeasibleCatalystError(EngineError, ValueError):
-    """The flow equations admit no nonnegative catalyst state."""
-
-
 class DegeneratePointError(EngineError, ValueError):
     """Closed-form expression evaluated at a pole; use the linear solver."""
 

@@ -86,8 +86,8 @@ def test_regime_checker_accepts_the_window():
 
 def test_one_clean_job_per_workload(monkeypatch):
     # the workloads also read names outside the tracer's list (for instance
-    # catalysis.delta_p_closed_form and errors.InfeasibleCatalystError), so
-    # one checked job of each must run on the modules the benchmark loads
+    # catalysis.delta_p_closed_form), so one checked job of each must run on
+    # the modules the benchmark loads
     monkeypatch.syspath_prepend(str(PERFBENCH))
     package = {
         name: module for name, module in sys.modules.items() if name.split(".")[0] == "twostroke"

@@ -44,9 +44,8 @@ def subspace_flows(initial, final):
 
 
 def solve_splits(d, n, boltz_hot, boltz_cold):
-    """One batched flow solve at one parameter point, its blocks joined:
-    populations (splits, d), transfer and feasible (splits,), with the
-    solved n."""
+    """One batched flow solve at one parameter point, its blocks joined: the
+    solved n, populations (splits, d) and transfer (splits,)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         blocks = list(
@@ -186,16 +185,41 @@ class TestSolveCatalystState:
             near = ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
             assert near.delta_p == limit.delta_p
 
-    def test_negative_population_guard(self, monkeypatch):
-        # no in-range parameters were found to produce a negative catalyst
-        # (randomised sweeps stay nonnegative), so the guard is exercised by
-        # forcing a bad solution through the flow solver
-        def fake_solve(d, n, boltz_hot, boltz_cold):
-            yield n, np.array([[1.1, -0.1]]), np.array([0.0]), np.array([False])
+    @staticmethod
+    def block_chain(shape, boltz_hot, boltz_cold):
+        """The d x d chain on the catalyst blocks: block k steps forward with
+        probability N*bh and back with probability N*x_k, x = 1 on
+        ground-dropping and bc on cold-raising blocks, and stays otherwise.
+        Each stay probability is also returned exactly, as a Fraction."""
+        d = shape.d
+        exact = [Fraction(boltz_hot), Fraction(boltz_cold)]
+        norm = 1 / ((1 + exact[0]) * (1 + exact[1]))
+        back = [Fraction(1)] * shape.m + [exact[1]] * shape.n
+        chain = np.zeros((d, d))
+        stays = []
+        for k in range(d):
+            chain[k, (k + 1) % d] += float(norm * exact[0])
+            chain[(k + 1) % d, k] += float(norm * back[k])
+            stays.append(1 - norm * exact[0] - norm * back[k - 1])
+        chain[np.diag_indices(d)] += [float(stay) for stay in stays]
+        return chain, stays
 
-        monkeypatch.setattr(catalysis, "_solve_flow_balance", fake_solve)
-        with pytest.raises(ts.InfeasibleCatalystError, match="infeasible catalyst"):
-            ts.solve_catalyst_state(ts.SimplePermSpec(1, 1), 0.5, 0.2)
+    def test_catalyst_is_the_block_chain_stationary_vector(self, rng):
+        worst = 0.0
+        for i in range(200):
+            shape = ts.SimplePermSpec(int(rng.integers(0, 20)), int(rng.integers(1, 20)))
+            boltz_hot = float(rng.uniform(0.01, 0.99))
+            # bc = 0 every third shape, otherwise either side of bh
+            boltz_cold = float(rng.uniform(0.0, 0.99)) if i % 3 else 0.0
+            chain, stays = self.block_chain(shape, boltz_hot, boltz_cold)
+            assert min(stays) >= 0
+            # pi (chain - I) = 0 with the last balance replaced by sum(pi) = 1
+            system = chain.T - np.eye(shape.d)
+            system[-1] = 1.0
+            stationary = np.linalg.solve(system, np.eye(shape.d)[-1])
+            state = ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
+            worst = max(worst, np.abs(state.populations - stationary).max())
+        assert worst <= 1e-14
 
 
 class TestFlowBalanceSolver:
@@ -206,16 +230,15 @@ class TestFlowBalanceSolver:
 
     @staticmethod
     def solve(shape, boltz_hot, boltz_cold):
-        _, pops, transfer, feasible = solve_splits(shape.d, [shape.n], boltz_hot, boltz_cold)
-        return pops, transfer, feasible
+        _, pops, transfer = solve_splits(shape.d, [shape.n], boltz_hot, boltz_cold)
+        return pops, transfer
 
     @pytest.mark.parametrize("ah, ac", PAIRS)
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_balances_and_closed_form(self, m, n, ah, ac):
         shape = ts.SimplePermSpec(m, n)
-        pops, transfer, feasible = self.solve(shape, ah, ac)
+        pops, transfer = self.solve(shape, ah, ac)
         assert pops.shape == (1, shape.d) and transfer.shape == (1,)
-        assert feasible[0]
         assert np.isfinite(pops).all() and np.isfinite(transfer).all()
         assert pops.min() >= 0.0
         assert abs(pops.sum() - 1.0) < 1e-12
@@ -237,40 +260,48 @@ class TestFlowBalanceSolver:
                     "equal": boltz_hot,
                 }[direction]
                 order = rng.permutation(d) + 1
-                solved_n, pops, transfer, feasible = solve_splits(d, order, boltz_hot, boltz_cold)
+                solved_n, pops, transfer = solve_splits(d, order, boltz_hot, boltz_cold)
                 assert solved_n.tolist() == order.tolist()
-                assert pops.shape == (d, d) and transfer.shape == feasible.shape == (d,)
+                assert pops.shape == (d, d) and transfer.shape == (d,)
                 for k, n in enumerate(order.tolist()):
                     one = solve_splits(d, [n], boltz_hot, boltz_cold)[1:]
-                    for batched, single in zip((pops, transfer, feasible), one):
+                    for batched, single in zip((pops, transfer), one):
                         assert np.array_equal(batched[k], single[0], equal_nan=True)
 
-    def test_infeasible_split_handling(self, monkeypatch):
-        # the split n = 2 comes back with a negative population: the sweep
-        # skips it and the work curve refuses it, as one-split solves do
-        solve = catalysis._solve_flow_balance
+    def test_positivity_census(self):
+        # every split of random d < 300, with beta_h*omega_h and
+        # beta_c*omega_c log-uniform in [e^-8, 740] (either Boltzmann factor
+        # may be the larger): the solve never faults and no split is lost
+        rng = np.random.default_rng(15)
+        beta = ts.InverseTemperaturePair(1.0, 2.0)  # omega = exponent / beta
+        for _ in range(400):
+            d = int(rng.integers(1, 300))
+            hot_exponent, cold_exponent = np.exp(rng.uniform(-8.0, math.log(740.0), size=2))
+            swept = ts.sweep_simple_perms(d, hot_exponent, cold_exponent / 2.0, beta)
+            assert [(shape.m, shape.n) for shape, _, _ in swept] == [
+                (d - n, n) for n in range(1, d + 1)
+            ]
 
-        def one_bad_split(d, n, boltz_hot, boltz_cold):
-            for block_n, pops, transfer, feasible in solve(d, n, boltz_hot, boltz_cold):
-                bad = block_n == 2
-                pops[bad, 0] = -0.1
-                feasible[bad] = False
-                yield block_n, pops, transfer, feasible
-
-        monkeypatch.setattr(catalysis, "_solve_flow_balance", one_bad_split)
+    def test_fault_raises_through_the_real_check(self, monkeypatch):
+        # every population of a d > 1 catalyst is below 1, so a tolerance of
+        # -1 makes the solver's own check flag each split
+        monkeypatch.setattr(catalysis, "NEGATIVE_POPULATION_TOL", -1.0)
         beta = ts.InverseTemperaturePair(1.0, 8.0)
-        swept = ts.sweep_simple_perms(4, 1.0, 1.5, beta)
-        assert [shape.n for shape, _, _ in swept] == [1, 3, 4]
-        with pytest.raises(ts.InfeasibleCatalystError, match="-1.000e-01"):
-            ts.fig_work_vs_cold_swaps(4, 1.0, 12.0, 1.5)
+        for call in (
+            lambda: ts.solve_catalyst_state(ts.SimplePermSpec(2, 3), 0.5, 0.2),
+            lambda: ts.sweep_simple_perms(4, 1.0, 1.5, beta),
+            lambda: ts.fig_work_vs_cold_swaps(4, 1.0, 12.0, 1.5),
+        ):
+            with pytest.raises(RuntimeError, match="negative or non-finite catalyst population"):
+                call()
 
     def test_blocks_bound_memory(self):
         d = 300
         blocks = list(catalysis._solve_flow_balance(d, np.arange(1, d + 1), 0.6, 0.2))
         assert len(blocks) > 1
-        assert all(pops.size <= catalysis.SPLIT_BLOCK_ENTRIES for _, pops, _, _ in blocks)
-        assert all(n.size == catalysis.SPLIT_BLOCK_ENTRIES // d for n, _, _, _ in blocks[:-1])
-        assert np.concatenate([n for n, _, _, _ in blocks]).tolist() == list(range(1, d + 1))
+        assert all(pops.size <= catalysis.SPLIT_BLOCK_ENTRIES for _, pops, _ in blocks)
+        assert all(n.size == catalysis.SPLIT_BLOCK_ENTRIES // d for n, _, _ in blocks[:-1])
+        assert np.concatenate([n for n, _, _ in blocks]).tolist() == list(range(1, d + 1))
 
     def test_work_curve_at_dimension_2000(self):
         rows = ts.fig_work_vs_cold_swaps(2000, 0.25, 8, 0.7)
@@ -583,12 +614,8 @@ class TestRegimeMap:
             for pick in rng.choice(len(inside), size=5, replace=False):
                 beta_ratio, freq_ratio, feasible = inside[pick]
                 beta = ts.InverseTemperaturePair(1.0, beta_ratio)
-                try:
-                    report, _ = ts.simple_perm_report(shape, 1.0, freq_ratio, beta)
-                    expected = report.work > 0.0
-                except ts.InfeasibleCatalystError:
-                    expected = False
-                assert feasible == expected
+                report, _ = ts.simple_perm_report(shape, 1.0, freq_ratio, beta)
+                assert feasible == (report.work > 0.0)
 
     def test_makes_no_flow_solve(self, monkeypatch):
         def refuse(*args):
@@ -630,10 +657,7 @@ class TestCatalyticWindow:
     def engine(quality, beta_ratio, freq_ratio):
         shape = ts.SimplePermSpec(quality.numerator - quality.denominator, quality.denominator)
         beta = ts.InverseTemperaturePair(1.0, beta_ratio)
-        try:
-            report, _ = ts.simple_perm_report(shape, 1.0, freq_ratio, beta)
-        except ts.InfeasibleCatalystError:
-            return False
+        report, _ = ts.simple_perm_report(shape, 1.0, freq_ratio, beta)
         return report.work > 0.0
 
     @staticmethod
@@ -675,7 +699,7 @@ class TestFigWorkVsColdSwaps:
         solve = catalysis._solve_flow_balance
 
         def counted(*args):
-            calls.append(args[1].size)
+            calls.append(len(args[1]))
             return solve(*args)
 
         monkeypatch.setattr(catalysis, "_solve_flow_balance", counted)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import twostroke as ts
-from twostroke import coherence, lp, simplex
+from twostroke import catalysis, coherence, lp, simplex
 from twostroke.cli import build_parser, fmt12, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -501,6 +501,37 @@ class TestFig5:
         )
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+
+class TestFlowSolveExits:
+    REPORT = ["report", "--beta-h", "6", "--beta-c", "7", "--omega-h", "2", "--omega-c", "3"]
+
+    @pytest.mark.parametrize(
+        "argv, entries",
+        [
+            ([*REPORT, "--simple", "99999999,1"], 100000000),
+            (["fig5", "--catalyst-dim", "2049"], 2049**2),
+        ],
+    )
+    def test_size_guard_exit_code(self, capsys, argv, entries):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == (
+            f"error: flow solve of {entries} catalyst populations exceeds the cap 4194304\n"
+        )
+
+    @pytest.mark.parametrize("argv", [[*REPORT, "--simple", "2,3"], ["fig5"]])
+    def test_internal_fault_exit_code(self, capsys, monkeypatch, argv):
+        # every population of a d > 1 catalyst is below 1, so the solver's
+        # own check flags it
+        monkeypatch.setattr(catalysis, "NEGATIVE_POPULATION_TOL", -1.0)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "error: flow solve gave a negative or non-finite catalyst population; this is a bug\n"
+        )
 
 
 class TestLpBound:

@@ -121,8 +121,8 @@ def run(argv):
 
 @settings(max_examples=300)
 @given(argv=ARGV)
-# regression commands: each once ended in a traceback, printed NaN, or wrote
-# more than one line on stderr
+# regression commands: each once ended in a traceback, printed NaN, wrote
+# more than one line on stderr, or ran unbounded in time and memory
 @example(argv=["lp-bound", "--beta-h", "1", "--beta-c", "3", "--omega-h", "1",
                "--omega-c", "0.5", "--catalyst-dim", "2", "--catalyst-populations", "nan,nan"])
 @example(argv=["report", "--beta-h", "6", "--beta-c", "7", "--omega-h", "inf",
@@ -147,6 +147,8 @@ def run(argv):
                "--omega-c", "1e308", "--simple", "4,5"])
 @example(argv=["report", "--beta-h", "-1e-3", "--beta-c", "3", "--omega-h", "1",
                "--omega-c", "0.5", "--otto"])
+@example(argv=["report", "--beta-h", "6", "--beta-c", "7", "--omega-h", "2",
+               "--omega-c", "3", "--simple", "99999999,1"])
 def test_cli_boundary(argv):
     code, out, err = run(argv)
     if code == 0:
