@@ -20,8 +20,8 @@ backward); `delta_p_closed_form` gives the same transfer in closed form away
 from its poles.  Where the work is positive needs no solve at all: exactly
 inside the window max(1, omega_c/omega_h) < d/n <
 beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a grid
-and which also decides `feasible_quality` and
-`optimal_simple_perm_efficiency`.
+and which also decides `optimal_simple_perm_efficiency` and, as the
+simplest rational between its exact ends for any d, `feasible_quality`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .thermo import (
 )
 
 NEGATIVE_POPULATION_TOL = 1e-12
-MAX_REGIME_CATALYST_DIM = 64  # bounds the feasible_quality search; regime_map has no cap
 MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~1.4 GB to render
 SPLIT_BLOCK_ENTRIES = 2**16  # populations per block of solved splits: flat memory in d
 MAX_FLOW_ENTRIES = 2**22  # populations per flow solve, d x splits: fig5 up to d = 2048
@@ -281,8 +280,8 @@ def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) 
 
 
 def _check_spacings(omega_h: float, omega_c: float) -> None:
-    if not (omega_h > 0.0 and omega_c > 0.0):
-        raise ValueError("level spacings must be positive")
+    if not (0.0 < omega_h < math.inf and 0.0 < omega_c < math.inf):
+        raise ValueError("level spacings must be positive and finite")
 
 
 def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> tuple[float, float]:
@@ -361,14 +360,11 @@ def optimal_simple_perm_efficiency(
     optimum by construction.  At d = beta_c*omega_c/(beta_h*omega_h) it sits
     at the Carnot limit with zero work.
     """
-    _check_spacings(omega_h, omega_c)
     d = int(catalyst_dim)
-    lower = omega_c / omega_h
-    upper = beta.beta_c * omega_c / (beta.beta_h * omega_h)
+    lower, upper = _engine_window(omega_h, omega_c, beta)
     if not (lower <= d <= upper):
         raise ValueError(
-            f"catalyst dimension {d} outside the admissible window "
-            f"[{lower:.6g}, {upper:.6g}]"
+            f"catalyst dimension {d} outside the admissible window [{lower:.6g}, {upper:.6g}]"
         )
     return _rational_efficiency(SimplePermSpec(d - 1, 1), omega_h, omega_c)
 
@@ -385,38 +381,42 @@ def _catalytic_window(quality, freq_ratio, exponent_ratio):
     return (np.maximum(1.0, freq_ratio) < quality) & (quality < exponent_ratio)
 
 
+def _engine_window(omega_h: float, omega_c: float, beta, number=float):
+    """Validated d/n window ends of `_catalytic_window`; number=Fraction gives them exactly."""
+    _check_spacings(omega_h, omega_c)
+    w_h, w_c, b_h, b_c = (number(float(x)) for x in (omega_h, omega_c, beta.beta_h, beta.beta_c))
+    return max(number(1), w_c / w_h), b_c * w_c / (b_h * w_h)
+
+
+def _simplest_between(low: Fraction, high: Fraction) -> Fraction:
+    """Simplest rational strictly between 1 <= low < high, by continued fractions."""
+    w = math.floor(low)
+    if w + 1 < high:
+        return Fraction(w + 1)
+    if low == w:
+        return w + Fraction(1, math.floor(1 / (high - w)) + 1)
+    return w + 1 / _simplest_between(1 / (high - w), 1 / (low - w))
+
+
 def feasible_quality(
     omega_h: float,
     omega_c: float,
     beta: InverseTemperaturePair,
 ) -> SimplePermSpec:
     """The (d, n) split with the smallest d, then the fewest n, whose simple
-    permutation runs as an engine here, over d <= MAX_REGIME_CATALYST_DIM.
-
-    An engine-mode split exists whenever beta_c*omega_c > beta_h*omega_h:
-    its d/n lies in `_catalytic_window`, strictly between
-    max(1, omega_c/omega_h) and beta_c*omega_c/(beta_h*omega_h), so no flow
-    equations are solved.  The split is in lowest terms, since a reducible
-    d/n has an equal ratio with smaller d that comes first.  At deep-hot or
-    deep-cold parameters the float work of the returned split may underflow
-    to 0 while its exact work is positive.
+    permutation runs as an engine here, for any d and with no flow solve: the
+    simplest rational d/n strictly between the exact ends of `_engine_window`.
+    `regime_map`'s float flag reads 0 only where d/n lies within float rounding
+    of an end (in (1.5, 1.5*(1 + 1e-9)) at 499999961/333333307).  An empty
+    window raises NoEngineRegimeError; deep work may underflow to 0.0.
     """
-    _check_spacings(omega_h, omega_c)
-    freq_ratio = omega_c / omega_h
-    low = max(1.0, freq_ratio)
-    high = beta.beta_c * omega_c / (beta.beta_h * omega_h)
-    if not high > low:
+    low, high = _engine_window(omega_h, omega_c, beta, Fraction)
+    if not high > low:  # then 0 < high <= low = 1, as beta_c > beta_h
         raise NoEngineRegimeError(
-            f"no engine regime: d/n window ({low:.6g}, {high:.6g}) is empty"
+            f"no engine regime: d/n window ({float(low):.6g}, {float(high):.6g}) is empty"
         )
-    for d in range(2, MAX_REGIME_CATALYST_DIM + 1):
-        for n in range(1, d):
-            if _catalytic_window(d / n, freq_ratio, high):
-                return SimplePermSpec(d - n, n)
-    raise NoEngineRegimeError(
-        "no engine-mode simple permutation with catalyst dimension <= "
-        f"{MAX_REGIME_CATALYST_DIM}"
-    )
+    quality = _simplest_between(low, high)
+    return SimplePermSpec(quality.numerator - quality.denominator, quality.denominator)
 
 
 def _as_quality(value) -> Fraction:

@@ -15,7 +15,9 @@ prints one `error:` line and no stdout, except optimize's exit 3 (its JSON).
 `regime-map` exits 4 on a grid of more than `catalysis.MAX_REGIME_ROWS` CSV
 rows (resolution**2 * (2 + number of d/n ratios)), `report --simple` and
 `fig5` on more than `catalysis.MAX_FLOW_ENTRIES` solved catalyst populations
-(d, or d**2 for fig5), both before any allocation.
+(d, or d**2 for fig5), `lp-bound` on a body above `lp.MAX_DIMENSION` and
+`coherence-check` on a drawn catalyst above `coherence.MAX_SUITE_CATALYST_DIM`,
+all before any allocation.
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
 The parser is built once per process, on the first `main` call, and reused.
 """
@@ -287,6 +289,7 @@ def cmd_lp_bound(args) -> int:
     catalyst_dim = args.catalyst_dim
     if catalyst_dim < 1:
         raise ConfigError("catalyst dimension must be at least 1")
+    lp.check_dimension(4 * catalyst_dim)  # before building a state of that size
     if args.catalyst_populations:
         try:
             populations = [float(p) for p in args.catalyst_populations.split(",")]

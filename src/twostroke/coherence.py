@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalysis import SimplePermSpec, build_simple_perm, solve_catalyst_state
-from .errors import CoherenceCheckError
+from .errors import CoherenceCheckError, GuardExceededError
 from .thermo import InverseTemperaturePair, Spectrum, gibbs_populations
 
 UNITARY_TOL = 1e-10
@@ -26,6 +26,7 @@ DENSITY_TOL = 1e-10
 TRACE_TOL = 1e-12
 HEAT_MATCH_TOL = 1e-10
 CYCLICITY_MATCH_TOL = 1e-10
+MAX_SUITE_CATALYST_DIM = 128  # dense (4d)^2 complex matrices: ~0.3 s, ~75 MB a trial at 128
 
 
 def _check_unitary(matrix: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -273,8 +274,15 @@ def run_coherence_suite(
     Each trial draws qubit spectra, bath temperatures and a cyclic engine,
     runs the decoherence construction, and tracks the largest heat mismatch
     and catalyst-marginal residual seen.  Raises CoherenceCheckError on any
-    violation beyond tolerance.
+    violation beyond tolerance, and GuardExceededError (exit 4) before the
+    first draw when a catalyst dimension it will draw exceeds
+    MAX_SUITE_CATALYST_DIM.
     """
+    largest = max(catalyst_dims[: int(trials)], default=0)
+    if largest > MAX_SUITE_CATALYST_DIM:
+        raise GuardExceededError(
+            f"catalyst dimension {largest} exceeds the cap {MAX_SUITE_CATALYST_DIM}"
+        )
     rng = np.random.default_rng(seed)
     worst_mismatch = 0.0
     worst_residual = 0.0

@@ -112,6 +112,12 @@ def _best_permutation(
     return image, float(probs @ energies - probs @ shifted[image] - y)
 
 
+def check_dimension(n: int) -> None:
+    """Refuse a working body of dimension n above MAX_DIMENSION."""
+    if n > MAX_DIMENSION:
+        raise GuardExceededError(f"LP dimension {n} exceeds the cap {MAX_DIMENSION}")
+
+
 def lp_work_upper_bound(
     hamiltonian: Spectrum,
     initial: PopulationVector,
@@ -132,8 +138,7 @@ def lp_work_upper_bound(
     if hamiltonian.dimension != initial.dimension:
         raise ValueError("spectrum does not match the state dimension")
     n = initial.dimension
-    if n > MAX_DIMENSION:
-        raise GuardExceededError(f"LP dimension {n} exceeds the cap {MAX_DIMENSION}")
+    check_dimension(n)
     energies = hamiltonian.energies()
     probs = initial.probs
     target = initial.catalyst_marginal()

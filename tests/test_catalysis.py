@@ -8,7 +8,6 @@ import pytest
 
 import twostroke as ts
 from twostroke import catalysis
-from twostroke.catalysis import MAX_REGIME_CATALYST_DIM
 
 from conftest import random_regime_tuple
 
@@ -509,7 +508,6 @@ class TestFeasibleQuality:
                 continue
             beta = ts.InverseTemperaturePair(beta_h, beta_c)
             shape = ts.feasible_quality(omega_h, omega_c, beta)
-            assert shape.d <= MAX_REGIME_CATALYST_DIM
             report, _ = ts.simple_perm_report(shape, omega_h, omega_c, beta)
             assert report.work > 0.0
             assert 0.0 < report.efficiency < beta.carnot_efficiency
@@ -526,9 +524,37 @@ class TestFeasibleQuality:
             ts.feasible_quality(-1.0, -0.5, ts.InverseTemperaturePair(1.0, 4.0))
 
     def test_window_midpoint_above_cap(self):
-        # window (2, 200): its midpoint 101 has no convergent with d <= 64
-        shape = ts.feasible_quality(1.0, 2.0, ts.InverseTemperaturePair(0.05, 5.0))
-        assert shape == ts.SimplePermSpec(2, 1)
+        # windows (2, 200) and (2, 2e600), whose float upper end overflows to
+        # inf: the first split is the smallest integer above the lower end
+        for beta_h, beta_c in ((0.05, 5.0), (1e-300, 1e300)):
+            shape = ts.feasible_quality(1.0, 2.0, ts.InverseTemperaturePair(beta_h, beta_c))
+            assert shape == ts.SimplePermSpec(2, 1)
+
+    @pytest.mark.parametrize(
+        "omega_h, omega_c, beta_h, beta_c, split",
+        [
+            (3.0, 4.0, 1.0, 1.1, (2, 5)),  # float(4/3) rounds below the end 4/3
+            (2.0, 3.0, 9.0, 10.0, (3, 5)),  # float(30/18) rounds onto 5/3, the Carnot end
+        ],
+    )
+    def test_simple_rational_window_ends(self, omega_h, omega_c, beta_h, beta_c, split):
+        # the window ends are the exact ratios of the inputs, never their floats,
+        # so a simple rational end is never returned as the split
+        beta = ts.InverseTemperaturePair(beta_h, beta_c)
+        shape = ts.feasible_quality(omega_h, omega_c, beta)
+        assert shape == ts.SimplePermSpec(*split)
+        report, _ = ts.simple_perm_report(shape, omega_h, omega_c, beta)
+        assert report.work > 0.0
+
+    def test_exact_window_below_float_spacing(self):
+        # the answer lies exactly inside the window, but its float d/n rounds
+        # onto the upper end, where the float window of regime_map reads 0
+        beta = ts.InverseTemperaturePair(1.0, 1.0 + 1e-9)
+        high = beta.beta_c * 1.5
+        shape = ts.feasible_quality(1.0, 1.5, beta)
+        assert (shape.d, shape.n) == (499999961, 333333307)
+        assert Fraction(1.5) < Fraction(shape.d, shape.n) < Fraction(high)
+        assert not catalysis._catalytic_window(shape.d / shape.n, 1.5, high)
 
     def test_smallest_split_at_deep_parameters(self):
         # splits with a large d have transfers of about bh**m that underflow
@@ -541,7 +567,7 @@ class TestFeasibleQuality:
 
     def test_first_split_in_window_over_wide_ranges(self):
         rng = np.random.default_rng(0)
-        refused = 0
+        outcomes = {"small d": 0, "empty": 0, "d > 64": 0}
         for _ in range(2000):
             omega_c = math.exp(rng.uniform(-3.0, 3.0))
             hot_exponent = math.exp(rng.uniform(-3.0, 6.0))  # omega_h = 1
@@ -553,19 +579,32 @@ class TestFeasibleQuality:
             first = next(
                 (
                     ts.SimplePermSpec(d - n, n)
-                    for d in range(2, MAX_REGIME_CATALYST_DIM + 1)
+                    for d in range(2, 65)
                     for n in range(1, d)
                     if low < d / n < high
                 ),
                 None,
             )
-            if first is None:
-                refused += 1
+            if first is not None:
+                outcomes["small d"] += 1
+                assert ts.feasible_quality(1.0, omega_c, beta) == first
+            elif not high > low:
+                outcomes["empty"] += 1
                 with pytest.raises(ts.NoEngineRegimeError):
                     ts.feasible_quality(1.0, omega_c, beta)
             else:
-                assert ts.feasible_quality(1.0, omega_c, beta) == first
-        assert 0 < refused < 2000
+                outcomes["d > 64"] += 1
+                shape = ts.feasible_quality(1.0, omega_c, beta)
+                low = max(Fraction(1), Fraction(omega_c))
+                high = Fraction(beta.beta_c) * Fraction(omega_c) / Fraction(beta.beta_h)
+                assert shape.d > 64 and math.gcd(shape.d, shape.n) == 1
+                assert low < Fraction(shape.d, shape.n) < high
+                # the fewest n with d/n < high is floor(d/high) + 1; for every
+                # smaller d that n already has d/n <= low, so no split exists
+                assert shape.n == math.floor(shape.d / high) + 1
+                for d in range(2, shape.d):
+                    assert Fraction(d, math.floor(d / high) + 1) <= low
+        assert min(outcomes.values()) > 0, outcomes
 
 
 class TestRegimeMap:

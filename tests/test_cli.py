@@ -570,14 +570,16 @@ class TestLpBound:
         assert len(payload["dual"]["x"]) == 1
 
     def test_guard_exit_code(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "lp-bound", "--beta-h", "1", "--beta-c", "3",
-            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "9",
-        )
-        assert code == 4
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        # 10**12 once ran out of memory building its state before the LP refused it
+        for dim in (9, 10**12):
+            code, out, err = run_cli(
+                capsys,
+                "lp-bound", "--beta-h", "1", "--beta-c", "3",
+                "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", str(dim),
+            )
+            assert code == 4
+            assert out == ""
+            assert err == f"error: LP dimension {4 * dim} exceeds the cap 32\n"
 
     @pytest.mark.parametrize(
         "golden, dim, populations",
@@ -706,6 +708,23 @@ class TestCoherenceCheck:
         )
         assert (code, err) == (0, "")
         assert out == (GOLDEN / "coherence_check_seed0.json").read_text()
+
+    def test_size_guard_exit_code(self, capsys, monkeypatch):
+        # one trial draws only d = 2, so the unreached 129 is not refused
+        code, _, err = run_cli(
+            capsys, "coherence-check", "--trials", "1", "--catalyst-dims", "2,129"
+        )
+        assert (code, err) == (0, "")
+
+        def refuse(*args):
+            raise AssertionError("the suite drew an engine past its cap")
+
+        monkeypatch.setattr(coherence, "random_cyclic_engine", refuse)
+        code, out, err = run_cli(
+            capsys, "coherence-check", "--trials", "2", "--catalyst-dims", "2,129"
+        )
+        assert (code, out) == (4, "")
+        assert err == "error: catalyst dimension 129 exceeds the cap 128\n"
 
     def test_violated_invariant_exits_1(self, capsys, monkeypatch):
         # eigenvalues in the wrong order against their eigenvectors give the

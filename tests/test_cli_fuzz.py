@@ -149,6 +149,9 @@ def run(argv):
                "--omega-c", "0.5", "--otto"])
 @example(argv=["report", "--beta-h", "6", "--beta-c", "7", "--omega-h", "2",
                "--omega-c", "3", "--simple", "99999999,1"])
+@example(argv=["lp-bound", "--beta-h", "1", "--beta-c", "3", "--omega-h", "1",
+               "--omega-c", "0.5", "--catalyst-dim", "1000000000000"])
+@example(argv=["coherence-check", "--trials", "1", "--catalyst-dims", "100000"])
 def test_cli_boundary(argv):
     code, out, err = run(argv)
     if code == 0:
