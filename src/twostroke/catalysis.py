@@ -43,6 +43,7 @@ from .thermo import (
     CycleReport,
     InverseTemperaturePair,
     Spectrum,
+    _kron,
     combined_spectrum,
     gibbs_populations,
 )
@@ -547,7 +548,7 @@ def fig_work_vs_cold_swaps(
     hot = gibbs_populations(Spectrum.qubit(omega_h), beta_h)
     cold = gibbs_populations(Spectrum.qubit(omega_c), beta_c)
     baseline = ergotropy(
-        np.kron(hot, cold),
+        _kron(hot, cold),
         combined_spectrum(
             Spectrum.trivial(1), Spectrum.qubit(omega_h), Spectrum.qubit(omega_c)
         ),

@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalysis import SimplePermSpec, build_simple_perm, solve_catalyst_state
 from .errors import CoherenceCheckError, GuardExceededError
-from .thermo import InverseTemperaturePair, Spectrum, gibbs_populations
+from .thermo import InverseTemperaturePair, Spectrum, _kron, gibbs_populations
 
 UNITARY_TOL = 1e-10
 DENSITY_TOL = 1e-10
@@ -76,38 +76,48 @@ def catalyst_marginal_matrix(rho: np.ndarray, catalyst_dim: int) -> np.ndarray:
     return np.einsum("ikjk->ij", reshaped)
 
 
-def _full_initial_state(
-    rho_catalyst: np.ndarray,
+def _bath_factors(
+    catalyst_dim: int,
     hamiltonian_hot: Spectrum,
     hamiltonian_cold: Spectrum,
     beta: InverseTemperaturePair,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(tau_h, tau_c, hot energies, cold energies) of rho_s x tau_h x tau_c.
+
+    The Gibbs states are complex diagonal matrices; the energies are those
+    of the hot and cold marginal Hamiltonians at each level of the product
+    basis, in its flat order.  A trial builds them once for both states.
+    """
+    shape = (catalyst_dim, hamiltonian_hot.dimension, hamiltonian_cold.dimension)
     thermal_hot = np.diag(gibbs_populations(hamiltonian_hot, beta.beta_h)).astype(complex)
     thermal_cold = np.diag(gibbs_populations(hamiltonian_cold, beta.beta_c)).astype(complex)
-    return np.kron(np.kron(rho_catalyst, thermal_hot), thermal_cold)
+    hot_energy = np.broadcast_to(hamiltonian_hot.energies()[:, None], shape).reshape(-1)
+    cold_energy = np.broadcast_to(hamiltonian_cold.energies(), shape).reshape(-1)
+    return thermal_hot, thermal_cold, hot_energy, cold_energy
+
+
+def _full_initial_state(
+    rho_catalyst: np.ndarray, thermal_hot: np.ndarray, thermal_cold: np.ndarray
+) -> np.ndarray:
+    return _kron(_kron(rho_catalyst, thermal_hot), thermal_cold)
 
 
 def _evaluate_stroke(
     rho_catalyst: np.ndarray,
     unitary: np.ndarray,
-    hamiltonian_hot: Spectrum,
-    hamiltonian_cold: Spectrum,
-    beta: InverseTemperaturePair,
+    baths: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[float, float, float]:
     """(Q_h, Q_c, catalyst-marginal residual) of one work stroke U acting on
-    rho_s x tau_h x tau_c.
+    rho_s x tau_h x tau_c, with `baths` from _bath_factors.
 
     Only the diagonal of the final state enters the heats, since the marginal
     Hamiltonians are diagonal in the product basis.
     """
-    d_s = rho_catalyst.shape[0]
-    d_h = hamiltonian_hot.dimension
-    d_c = hamiltonian_cold.dimension
-    initial = _full_initial_state(rho_catalyst, hamiltonian_hot, hamiltonian_cold, beta)
+    thermal_hot, thermal_cold, hot_energy, cold_energy = baths
+    initial = _full_initial_state(rho_catalyst, thermal_hot, thermal_cold)
     final = unitary @ initial @ unitary.conj().T
     shift = np.diag(initial - final).real
-    hot_energy = np.tile(np.repeat(hamiltonian_hot.energies(), d_c), d_s)
-    cold_energy = np.tile(np.tile(hamiltonian_cold.energies(), d_h), d_s)
+    d_s = rho_catalyst.shape[0]
     residual = np.abs(catalyst_marginal_matrix(final, d_s) - rho_catalyst).max()
     return float(hot_energy @ shift), float(cold_energy @ shift), float(residual)
 
@@ -163,18 +173,15 @@ def _decohere(
         raise ValueError("unitary does not match the working-body dimension")
 
     values, rotation = _phase_fixed_descending_eigenbasis(rho_catalyst)
-    rotation_full = np.kron(
+    rotation_full = _kron(
         rotation, np.eye(hamiltonian_hot.dimension * hamiltonian_cold.dimension)
     )
     rho_rotated = np.diag(np.clip(values, 0.0, None)).astype(complex)
     unitary_rotated = rotation_full.conj().T @ unitary @ rotation_full
 
-    heat_h, heat_c, residual = _evaluate_stroke(
-        rho_catalyst, unitary, hamiltonian_hot, hamiltonian_cold, beta
-    )
-    rot_h, rot_c, residual_rot = _evaluate_stroke(
-        rho_rotated, unitary_rotated, hamiltonian_hot, hamiltonian_cold, beta
-    )
+    baths = _bath_factors(d_s, hamiltonian_hot, hamiltonian_cold, beta)
+    heat_h, heat_c, residual = _evaluate_stroke(rho_catalyst, unitary, baths)
+    rot_h, rot_c, residual_rot = _evaluate_stroke(rho_rotated, unitary_rotated, baths)
     mismatch = max(abs(heat_h - rot_h), abs(heat_c - rot_c))
     if mismatch > HEAT_MATCH_TOL:
         raise CoherenceCheckError(f"decohered engine heats differ by {mismatch:.3e}")
@@ -230,10 +237,10 @@ def random_cyclic_engine(
         family = choices[rng.integers(len(choices))]
     if family == "hc_local":
         rho = random_density(catalyst_dim, rng)
-        stroke = np.kron(np.eye(catalyst_dim), random_unitary(rest, rng))
+        stroke = _kron(np.eye(catalyst_dim), random_unitary(rest, rng))
         return rho, stroke
     basis = random_unitary(catalyst_dim, rng)
-    basis_full = np.kron(basis, np.eye(rest))
+    basis_full = _kron(basis, np.eye(rest))
     if family == "block_rotation":
         weights = rng.dirichlet(np.ones(catalyst_dim))
         blocks = [random_unitary(rest, rng) for _ in range(catalyst_dim)]

@@ -23,6 +23,7 @@ from .thermo import (
     InverseTemperaturePair,
     PopulationVector,
     Spectrum,
+    _kron,
     gibbs_populations,
 )
 
@@ -118,12 +119,13 @@ def sweep_heats(
     energies reads exactly 0; work is the sum of the two heats.  The
     temperatures are not ordered here, so any pair of positive betas works.
     """
-    probs = np.kron(
+    probs = _kron(
         gibbs_populations(hamiltonian_hot, beta_h),
         gibbs_populations(hamiltonian_cold, beta_c),
     )
-    energy_hot = np.repeat(hamiltonian_hot.energies(), hamiltonian_cold.dimension)
-    energy_cold = np.tile(hamiltonian_cold.energies(), hamiltonian_hot.dimension)
+    shape = (hamiltonian_hot.dimension, hamiltonian_cold.dimension)
+    energy_hot = np.broadcast_to(hamiltonian_hot.energies()[:, None], shape).reshape(-1)
+    energy_cold = np.broadcast_to(hamiltonian_cold.energies(), shape).reshape(-1)
     heat_hot = ((energy_hot - energy_hot[images]) * probs).sum(axis=1)
     heat_cold = ((energy_cold - energy_cold[images]) * probs).sum(axis=1)
     return heat_hot + heat_cold, heat_hot, heat_cold

@@ -672,6 +672,17 @@ class TestLpBound:
         )
         assert code == 2
 
+    def test_unnormalised_catalyst_populations(self, capsys):
+        # the sum prints as a plain float, not as numpy's scalar repr
+        code, out, err = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", "1", "--beta-c", "2",
+            "--omega-h", "1", "--omega-c", "0.5",
+            "--catalyst-dim", "2", "--catalyst-populations", "0.3,0.3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: catalyst factor must sum to 1 (got 0.6)\n"
 
     def test_non_finite_catalyst_populations(self, capsys):
         code, out, err = run_cli(

@@ -116,7 +116,8 @@ class TestDecohereConstruction:
         # a nontrivial catalyst Hamiltonian stores no net energy across a
         # catalyst-preserving stroke, so the heat pair already fixes the work
         rho, stroke, hot, cold, beta = random_cyclic(rng, "ladder", 3)
-        initial = coherence._full_initial_state(rho, hot, cold, beta)
+        thermal_hot, thermal_cold, _, _ = coherence._bath_factors(3, hot, cold, beta)
+        initial = coherence._full_initial_state(rho, thermal_hot, thermal_cold)
         final = stroke @ initial @ stroke.conj().T
         catalyst_energy = np.kron(
             np.diag([0.0, 0.4, 1.1]), np.eye(hot.dimension * cold.dimension)
@@ -127,7 +128,8 @@ class TestDecohereConstruction:
     def test_cyclicity_residuals_tiny(self, rng):
         for family in coherence.CYCLIC_FAMILIES:
             rho, stroke, hot, cold, beta = random_cyclic(rng, family)
-            initial = coherence._full_initial_state(rho, hot, cold, beta)
+            thermal_hot, thermal_cold, _, _ = coherence._bath_factors(2, hot, cold, beta)
+            initial = coherence._full_initial_state(rho, thermal_hot, thermal_cold)
             final = stroke @ initial @ stroke.conj().T
             residual = np.abs(
                 coherence.catalyst_marginal_matrix(final, 2) - rho
@@ -148,17 +150,38 @@ class TestSuite:
         assert first == second
 
     def test_two_states_per_trial(self, monkeypatch):
-        # the original and the decohered state, each built once
-        builds = []
-        build = coherence._full_initial_state
+        # the original and the decohered state, each built once, from one
+        # set of bath factors
+        calls = {"_full_initial_state": 0, "_bath_factors": 0}
 
-        def counted(*args):
-            builds.append(args)
-            return build(*args)
+        def counted(name):
+            build = getattr(coherence, name)
 
-        monkeypatch.setattr(coherence, "_full_initial_state", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return build(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(coherence, name, counted(name))
         ts.run_coherence_suite(trials=6, seed=2)
-        assert len(builds) == 12
+        assert calls == {"_full_initial_state": 12, "_bath_factors": 6}
+
+    @pytest.mark.parametrize("catalyst_dims", [(1,), (2, 3), (5,)])
+    def test_same_result_as_numpy_kron(self, monkeypatch, catalyst_dims):
+        # the broadcast kernel forms the same products as np.kron, so every
+        # draw, heat and residual of the suite is unchanged to the bit
+        ours = [
+            ts.run_coherence_suite(trials=4, seed=seed, catalyst_dims=catalyst_dims)
+            for seed in range(10)
+        ]
+        monkeypatch.setattr(coherence, "_kron", np.kron)
+        reference = [
+            ts.run_coherence_suite(trials=4, seed=seed, catalyst_dims=catalyst_dims)
+            for seed in range(10)
+        ]
+        assert ours == reference
 
 
 class TestFailureBranches:

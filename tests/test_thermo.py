@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import twostroke as ts
-from twostroke.thermo import ACCELERATOR, COOLER, DEGENERATE, ENGINE
+from twostroke.coherence import random_unitary
+from twostroke.thermo import ACCELERATOR, COOLER, DEGENERATE, ENGINE, _kron
 
 from conftest import gibbs_product, random_regime_tuple
 
@@ -75,6 +78,69 @@ class TestGibbsPopulations:
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
             ts.gibbs_populations(ts.Spectrum.qubit(1.0), 0.0)
+
+
+def assert_same_bits(ours, reference):
+    assert ours.dtype == reference.dtype
+    assert ours.shape == reference.shape
+    assert ours.tobytes() == reference.tobytes()
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(ours)), np.signbit(part(reference)))
+
+
+def signed_zeros(values, rng):
+    """`values` with about a third of its entries set to +0.0 or -0.0."""
+    values = values.copy()
+    hit = rng.random(values.shape) < 1 / 3
+    values[hit] = np.where(rng.random(values.shape) < 0.5, 0.0, -0.0)[hit]
+    return values
+
+
+class TestKron:
+    """The broadcast kernel is numpy's kron to the bit, signed zeros included."""
+
+    def test_float_vectors(self, rng):
+        for n, m in [(1, 1), (1, 4), (3, 2), (5, 7)]:
+            a = signed_zeros(rng.normal(size=n), rng)
+            b = signed_zeros(rng.normal(size=m), rng)
+            assert_same_bits(_kron(a, b), np.kron(a, b))
+
+    def test_real_matrices(self, rng):
+        for (p, q), (r, s) in [((1, 1), (2, 2)), ((2, 2), (3, 3)), ((2, 3), (4, 1))]:
+            a = signed_zeros(rng.normal(size=(p, q)), rng)
+            b = signed_zeros(rng.normal(size=(r, s)), rng)
+            assert_same_bits(_kron(a, b), np.kron(a, b))
+
+    def test_complex_matrices(self, rng):
+        for k, m in [(2, 2), (3, 4), (5, 4)]:
+            a = signed_zeros(rng.normal(size=(k, k)), rng) + 1j * signed_zeros(
+                rng.normal(size=(k, k)), rng
+            )
+            b = signed_zeros(rng.normal(size=(m, m)), rng) - 1j * signed_zeros(
+                rng.normal(size=(m, m)), rng
+            )
+            assert_same_bits(_kron(a, b), np.kron(a, b))
+
+    @pytest.mark.parametrize("k, m", [(1, 4), (2, 4), (3, 4), (5, 2)])
+    def test_identity_with_unitary(self, rng, k, m):
+        # the float/complex promotion of random_cyclic_engine and _decohere
+        unitary = random_unitary(m, rng)
+        assert_same_bits(_kron(np.eye(k), unitary), np.kron(np.eye(k), unitary))
+        assert_same_bits(_kron(unitary, np.eye(k)), np.kron(unitary, np.eye(k)))
+
+
+def test_no_per_call_layout_helpers_in_src():
+    # numpy's kron, tile and repeat cost several times the arithmetic on the
+    # package's few-level states; _kron and broadcasts replace them
+    src = Path(__file__).resolve().parents[1] / "src" / "twostroke"
+    pattern = re.compile(r"np\.(kron|tile|repeat)\(")
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert hits == []
 
 
 class TestProductState:
