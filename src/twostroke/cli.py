@@ -20,6 +20,10 @@ rows (resolution**2 * (2 + number of d/n ratios)), `report --simple` and
 all before any allocation.
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
 The parser is built once per process, on the first `main` call, and reused.
+An argv that starts with a subcommand is parsed once, by that subcommand's
+parser; any other argv goes through the top-level parser, which prints the
+help or the usage error.  JSON is written by one recursive pass that rounds
+each float and gives the exact text of `json.dumps(..., indent=2)`.
 """
 
 from __future__ import annotations
@@ -62,18 +66,9 @@ def fmt12(value: float | None) -> str:
     return f"{rounded:.12g}"
 
 
-def _rounded(payload):
-    """The payload with every float passed through round12."""
-    if isinstance(payload, dict):
-        return {key: _rounded(value) for key, value in payload.items()}
-    if isinstance(payload, (list, tuple)):
-        return [_rounded(value) for value in payload]
-    return round12(payload) if isinstance(payload, float) else payload
-
-
 def _emit(text: str, output: str | None) -> None:
     """Write to --output, or to stdout; an unwritable path raises ConfigError."""
-    if output:
+    if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -83,8 +78,46 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of `json.dumps(value, indent=2)` with every float through round12.
+
+    `indent` is the newline and indentation of the enclosing level.  json's
+    C encoder is used only without `indent`, so one recursive pass here is
+    faster than rounding a copy and running json's Python encoder on it.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(round12(value))
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _encode_str(key) + ": " + _json_text(item, inner) for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(_rounded(payload), indent=2, allow_nan=False) + "\n", output)
+    _emit(_json_text(payload) + "\n", output)
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -340,7 +373,10 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The process's one parser, shared by every `main` call; do not modify it."""
+    """The process's one parser, shared by every `main` call; do not modify it.
+
+    Its `commands` maps each subcommand name to that subcommand's parser.
+    """
     parser = _Parser(
         prog="twostroke",
         description="Two-stroke heat engine models, with and without a catalyst",
@@ -411,12 +447,22 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--output")
     check.set_defaults(func=cmd_coherence_check)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        # A known subcommand goes straight to its own parser, the one the
+        # top-level parser would hand the rest of argv to; anything else
+        # (no argv, -h, a typo) gets the top-level help or usage error.
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         # overflow shows up as a non-finite result, which exits 2 on its own
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return args.func(args)

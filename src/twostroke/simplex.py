@@ -45,22 +45,23 @@ def _iterate(
     basis: list[int],
     iterations: int,
     phase: str,
-) -> tuple[list[int], int]:
-    """Run primal pivots until optimal; returns the final basis and the
-    iteration count, which starts at `iterations`."""
+) -> tuple[list[int], int, np.ndarray, np.ndarray]:
+    """Run primal pivots until optimal; returns the final basis, the
+    iteration count (which starts at `iterations`), and the final basis's
+    multipliers and unclipped basic solution."""
     while True:
         if iterations > MAX_ITERATIONS:
             raise GuardExceededError("simplex iteration limit exceeded")
         base = columns[:, basis]
         multipliers = np.linalg.solve(base.T, objective[basis])
+        current = np.linalg.solve(base, rhs)
         reduced = objective - multipliers @ columns
         reduced[basis] = 0.0
         eligible = np.flatnonzero(reduced > PIVOT_TOL)
         if eligible.size == 0:
-            return basis, iterations
+            return basis, iterations, multipliers, current
         entering = int(eligible[0])
         direction = np.linalg.solve(base, columns[:, entering])
-        current = np.linalg.solve(base, rhs)
         current = np.maximum(current, 0.0)
         movable = np.flatnonzero(direction > PIVOT_TOL)
         if movable.size == 0:
@@ -102,10 +103,10 @@ def simplex_solve(objective, constraints, rhs, basis=None) -> SimplexResult:
         phase_columns = np.hstack([columns, np.eye(n_rows)])
         phase_objective = np.concatenate([np.zeros(n_cols), -np.ones(n_rows)])
         basis = list(range(n_cols, n_cols + n_rows))
-        basis, iterations = _iterate(phase_columns, rhs, phase_objective, basis, 0, "phase one")
-        artificial_level = float(
-            phase_objective[basis] @ np.linalg.solve(phase_columns[:, basis], rhs)
+        basis, iterations, _, current = _iterate(
+            phase_columns, rhs, phase_objective, basis, 0, "phase one"
         )
+        artificial_level = float(phase_objective[basis] @ current)
         if artificial_level < -PIVOT_TOL:
             raise RuntimeError("phase one found the program infeasible; this is a bug")
 
@@ -131,14 +132,13 @@ def simplex_solve(objective, constraints, rhs, basis=None) -> SimplexResult:
             rhs = rhs[kept_rows]
             basis = [basis[p] for p in kept_rows]
 
-    basis, iterations = _iterate(columns, rhs, objective, basis, iterations, "phase two")
-
-    base = columns[:, basis]
-    primal_basic = np.maximum(np.linalg.solve(base, rhs), 0.0)
+    basis, iterations, multipliers, current = _iterate(
+        columns, rhs, objective, basis, iterations, "phase two"
+    )
     x = np.zeros(n_cols)
-    x[basis] = primal_basic
+    x[basis] = np.maximum(current, 0.0)
     dual = np.zeros(n_rows)
-    dual[kept_rows] = np.linalg.solve(base.T, objective[basis])
+    dual[kept_rows] = multipliers
     value = float(objective @ x)
     warm_basis = basis if len(kept_rows) == n_rows else None
     return SimplexResult(value, x, dual, warm_basis, iterations)

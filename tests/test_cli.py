@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -9,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import twostroke as ts
-from twostroke import catalysis, coherence, lp, simplex
+from twostroke import catalysis, cli, coherence, lp, simplex
 from twostroke.cli import build_parser, fmt12, main
+from twostroke.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -288,6 +293,14 @@ class TestTable24:
         assert (code, out) == (2, "")
         assert err.startswith("error: cannot write --output") and err.count("\n") == 1
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("command", [["table24"], ["report", "--otto"]])
+    def test_empty_output_path_exits_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command[0], *ENGINE, *command[1:], "--output", ""
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --output '': ") and err.count("\n") == 1
 
 
 class TestOptimize:
@@ -801,6 +814,163 @@ class TestParserReuse:
         capsys.readouterr()
         info = build_parser.cache_info()
         assert info.misses <= 1 and info.hits >= 9
+
+
+# argv shapes each subcommand's parser must treat as the top-level parser does
+DISPATCH_ARGV = [
+    ["report", *ENGINE, "--otto"],
+    ["report", *ENGINE, "--simple", "2,3"],
+    ["table24", "--bh-wh", "1", "--bc-wc", "1.5", "--freq-ratio", "0.5"],
+    ["optimize", *ENGINE, "--objective", "work"],
+    ["regime-map", "--resolution", "2", "--d-over-n", "5/3"],
+    ["fig5", "--catalyst-dim", "3"],
+    ["lp-bound", *ENGINE, "--catalyst-dim", "2", "--catalyst-populations", "0.6,0.4"],
+    ["coherence-check", "--trials", "1", "--seed", "5"],
+    ["report", "--beta-h=1", "--beta-c=3", "--omega-h=1", "--omega-c=0.5", "--otto"],
+    ["report", "-h"],
+    ["report", "--bet", "1", "--beta-c", "3", "--omega-h", "1", "--omega-c", "0.5"],
+    ["report", *ENGINE, "--", "--otto"],
+    ["report", "--", *ENGINE, "--otto"],
+    ["report", "--beta-h", "-1", "--beta-c", "3", "--omega-h", "1", "--omega-c", "-.5",
+     "--otto"],
+    ["report", *ENGINE[:2], "--beta-c", "-1e-3", *ENGINE[4:], "--otto"],
+    ["coherence-check", "--trials", "1", "--seed", "-3"],
+    ["report", *ENGINE, "--simple", "2,3", "--perm", "identity"],
+    ["report", *ENGINE, "--perm"],
+    ["table24", *ENGINE, "--no-such-flag"],
+    ["optimize", *ENGINE, "--objective", "power"],
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--", "report"],
+]
+
+
+class TestDispatch:
+    """main hands an argv that starts with a subcommand straight to that
+    subcommand's parser; everything it prints is what the top-level parser's
+    dispatch prints."""
+
+    @staticmethod
+    def outcome(monkeypatch, capsys, argv, *, through_sys_argv=False):
+        parsed = []
+        parse_args = cli._Parser.parse_args
+
+        def recording(self, *args, **kwargs):
+            parsed.append(parse_args(self, *args, **kwargs))
+            return parsed[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli._Parser, "parse_args", recording)
+            if through_sys_argv:
+                patch.setattr(sys, "argv", ["twostroke", *argv])
+            try:
+                code = main(None if through_sys_argv else list(argv))
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err, [vars(namespace) for namespace in parsed]
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "-")
+    def test_same_outcome_as_top_level_dispatch(self, monkeypatch, capsys, argv):
+        direct = self.outcome(monkeypatch, capsys, argv)
+        from_sys_argv = self.outcome(monkeypatch, capsys, argv, through_sys_argv=True)
+        monkeypatch.setattr(build_parser(), "commands", {})
+        top_level = self.outcome(monkeypatch, capsys, argv)
+        assert direct == from_sys_argv == top_level
+        if direct[0] == 0:
+            assert len(direct[3]) == 1
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGV[:9], ids=lambda argv: argv[0])
+    def test_valid_call_skips_the_top_level_parser(self, monkeypatch, capsys, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a subcommand's argv")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_commands_are_the_top_level_subparsers(self):
+        parser = build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert parser.commands is action.choices
+        assert sorted(parser.commands) == [
+            "coherence-check", "fig5", "lp-bound", "optimize", "regime-map", "report",
+            "table24",
+        ]
+
+
+def rounded(payload):
+    """The payload with every float passed through round12 (the writer's oracle)."""
+    if isinstance(payload, dict):
+        return {key: rounded(value) for key, value in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [rounded(value) for value in payload]
+    return cli.round12(payload) if isinstance(payload, float) else payload
+
+
+def oracle_json(payload):
+    try:
+        return json.dumps(rounded(payload), indent=2, allow_nan=False)
+    except ConfigError as exc:
+        return exc
+
+
+def written_json(payload):
+    try:
+        return cli._json_text(payload)
+    except ConfigError as exc:
+        return exc
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-310, 1e308, -1.7976931348623157e308,
+        0.1 + 0.2, 1 / 3, 2.675e-5, 0.9999999999995, 123456789012.5, -9.9999999999995e99,
+    ]),
+)
+TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "\x00\x1f\n\t\x7f", "é ü 中 \U0001f600", ""]),
+)
+SCALARS = st.one_of(FINITE, st.integers(), st.booleans(), st.none(), TEXT)
+
+
+def payloads(scalars):
+    return st.recursive(
+        scalars,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(TEXT, children, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+class TestJsonText:
+    """`_json_text` writes exactly what rounding a copy and `json.dumps(indent=2)` wrote."""
+
+    @settings(max_examples=200)
+    @given(payload=payloads(SCALARS))
+    def test_same_text_as_json_dumps(self, payload):
+        assert written_json(payload) == oracle_json(payload)
+
+    @settings(max_examples=100)
+    @given(payload=payloads(SCALARS | st.sampled_from([math.inf, -math.inf, math.nan])))
+    def test_first_non_finite_float_raises_the_same_error(self, payload):
+        written, expected = written_json(payload), oracle_json(payload)
+        if isinstance(expected, ConfigError):
+            assert isinstance(written, ConfigError)
+            assert str(written) == str(expected)
+        else:
+            assert written == expected
+
+    def test_error_names_the_first_non_finite_float(self):
+        payload = {"a": [1.0, {"b": -math.inf}], "c": math.nan}
+        with pytest.raises(ConfigError, match=r"not finite \(-inf\)"):
+            cli._json_text(payload)
 
 
 def readme_commands():

@@ -152,6 +152,14 @@ def run(argv):
 @example(argv=["lp-bound", "--beta-h", "1", "--beta-c", "3", "--omega-h", "1",
                "--omega-c", "0.5", "--catalyst-dim", "1000000000000"])
 @example(argv=["coherence-check", "--trials", "1", "--catalyst-dims", "100000"])
+# argv shapes at the subcommand dispatch: no subcommand, an ambiguous
+# abbreviation, `--flag=value`, and flags after `--`
+@example(argv=["bogus"])
+@example(argv=["report", "--bet", "1", "--omega-h", "1", "--omega-c", "0.5", "--otto"])
+@example(argv=["report", "--beta-h=6", "--beta-c=7", "--omega-h=2", "--omega-c=3",
+               "--simple=2,3"])
+@example(argv=["report", "--", "--beta-h", "1", "--beta-c", "3", "--omega-h", "1",
+               "--omega-c", "0.5", "--otto"])
 def test_cli_boundary(argv):
     code, out, err = run(argv)
     if code == 0:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from twostroke import simplex
+import twostroke as ts
+from twostroke import lp, simplex
 
 
 def solve(c, a, b):
@@ -102,3 +103,74 @@ class TestWarmStart:
             assert warm.value == pytest.approx(cold.value, abs=1e-10)
             assert np.abs(a @ warm.x - b).max() <= 1e-10
             assert (c - warm.dual @ a).max() <= 1e-9
+
+
+class TestFinalSolves:
+    """x, the duals and phase one's artificial level come from the solves of
+    each pivot loop's last pass; solving against the final basis again gives
+    the same bits."""
+
+    @staticmethod
+    def record_loops(monkeypatch):
+        loops = []
+        iterate = simplex._iterate
+
+        def recording(columns, rhs, objective, basis, iterations, phase):
+            found = iterate(columns, rhs, objective, basis, iterations, phase)
+            loops.append((columns, rhs, objective, list(found[0]), found[2], found[3]))
+            return found
+
+        monkeypatch.setattr(simplex, "_iterate", recording)
+        return loops
+
+    @staticmethod
+    def assert_as_solved_again(objective, constraints, rhs, result):
+        base = constraints[:, result.basis]
+        x = np.zeros(constraints.shape[1])
+        x[result.basis] = np.maximum(np.linalg.solve(base, rhs), 0.0)
+        dual = np.linalg.solve(base.T, objective[result.basis])
+        assert result.x.tobytes() == x.tobytes()
+        assert result.dual.tobytes() == dual.tobytes()
+
+    def test_random_programs(self, monkeypatch, rng):
+        loops = self.record_loops(monkeypatch)
+        for _ in range(40):
+            rows = int(rng.integers(1, 5))
+            a = rng.uniform(0.0, 1.0, size=(rows, int(rng.integers(rows + 1, 12))))
+            b = a @ rng.dirichlet(np.ones(a.shape[1]))
+            c = rng.normal(size=a.shape[1])
+            result = solve(c, a, b)
+            self.assert_as_solved_again(c, a, b, result)
+            warm = simplex.simplex_solve(c, a, b, basis=result.basis)
+            self.assert_as_solved_again(c, a, b, warm)
+        for columns, rhs, objective, basis, multipliers, current in loops:
+            base = columns[:, basis]
+            assert multipliers.tobytes() == np.linalg.solve(base.T, objective[basis]).tobytes()
+            assert current.tobytes() == np.linalg.solve(base, rhs).tobytes()
+
+    def test_work_bound_masters(self, monkeypatch, rng):
+        masters = []
+        simplex_solve = simplex.simplex_solve
+
+        def recording(objective, constraints, rhs, basis=None):
+            result = simplex_solve(objective, constraints, rhs, basis=basis)
+            masters.append((objective, constraints, rhs, result))
+            return result
+
+        monkeypatch.setattr(simplex, "simplex_solve", recording)
+        for _ in range(30):
+            d_s = int(rng.integers(1, 5))
+            hot = ts.Spectrum.qubit(float(rng.uniform(0.5, 2.0)))
+            cold = ts.Spectrum.qubit(float(rng.uniform(0.1, 1.5)))
+            beta_h = float(rng.uniform(0.3, 1.5))
+            initial = ts.product_state(
+                rng.dirichlet(np.ones(d_s)),
+                ts.gibbs_populations(hot, beta_h),
+                ts.gibbs_populations(cold, beta_h + float(rng.uniform(0.2, 3.0))),
+            )
+            hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(d_s), hot, cold)
+            lp.lp_work_upper_bound(hamiltonian, initial, d_s)
+        with_basis = [m for m in masters if m[3].basis is not None]
+        assert len(with_basis) >= 60
+        for objective, constraints, rhs, result in with_basis:
+            self.assert_as_solved_again(objective, constraints, rhs, result)
