@@ -32,6 +32,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -364,8 +365,20 @@ def cmd_coherence_check(args) -> int:
     return 0
 
 
+# argparse's own pattern (^-\d+$|^-\d*\.\d+$) reads -1e-3 and -inf as options
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$|^-(?:inf|infinity|nan)$", re.IGNORECASE
+)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a ConfigError, so it prints one `error:` line."""
+    """Reports a usage error as a ConfigError, so it prints one `error:` line,
+    and takes any negative float literal (-1e-3, -inf, -nan) as a value, so
+    the range check, not argparse, refuses it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message: str):
         raise ConfigError(message)

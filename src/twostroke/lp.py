@@ -11,9 +11,11 @@ By the rearrangement inequality that permutation sends the largest
 population to the smallest energy shifted by its block's multiplier, so
 pricing over all n! permutations is one sort.  `build_work_bound_problem`
 assembles the master's columns each round; given all n! images it is the
-test reference.  The value bounds the work of any single catalyst-preserving
-permutation from above, and relaxes the harder question of which bistochastic
-matrices arise from actual unitaries.
+test reference.  The first master, the identity column alone, is solved in
+closed form (its one feasible point is the identity); every later master
+goes to `simplex.simplex_solve`.  The value bounds the work of any single
+catalyst-preserving permutation from above, and relaxes the harder question
+of which bistochastic matrices arise from actual unitaries.
 """
 
 from __future__ import annotations
@@ -95,21 +97,38 @@ def build_work_bound_problem(
     )
 
 
-def _best_permutation(
-    energies: np.ndarray, probs: np.ndarray, target: np.ndarray, y: float, x
-) -> tuple[np.ndarray, float]:
-    """Image of the permutation of largest reduced cost w - y - x . a against
-    the duals (y, x), and that reduced cost.
+def _pricing(energies: np.ndarray, probs: np.ndarray, catalyst_dim: int):
+    """For one body, a function of the duals (y, x) returning the image of
+    the permutation of largest reduced cost w - y - x . a, and that cost.
 
     The largest population goes to the smallest energy shifted by its
     block's multiplier (the last block's is zero), which is optimal over all
     n! permutations by the rearrangement inequality.
     """
     n = probs.size
-    shifted = energies + np.append(x, 0.0)[np.arange(n) // (n // target.size)]
-    image = np.empty(n, dtype=int)
-    image[np.argsort(-probs, kind="stable")] = np.argsort(shifted, kind="stable")
-    return image, float(probs @ energies - probs @ shifted[image] - y)
+    order = np.argsort(-probs, kind="stable")
+    block = np.arange(n) // (n // catalyst_dim)
+    energy = probs @ energies
+
+    def best(y: float, x) -> tuple[np.ndarray, float]:
+        shifted = energies + np.append(x, 0.0)[block]
+        image = np.empty(n, dtype=int)
+        image[order] = np.argsort(shifted, kind="stable")
+        return image, float(energy - probs @ shifted[image] - y)
+
+    return best
+
+
+def _identity_master(problem: WorkBoundProblem) -> simplex.SimplexResult:
+    """The first master, the identity column alone, in closed form: x = [1],
+    multipliers (w, 0, ..., 0) with w the identity's work as built, and no
+    warm basis past one block (phase one drops each block row, t_k times the
+    convexity row).  These are the bits `simplex.simplex_solve` returns."""
+    work = problem.work[0]
+    dual = np.zeros(problem.target.size)
+    dual[0] = work
+    basis = [0] if problem.target.size == 1 else None
+    return simplex.SimplexResult(float(work), np.ones(1), dual, basis, 0)
 
 
 def check_dimension(n: int) -> None:
@@ -139,26 +158,27 @@ def lp_work_upper_bound(
         raise ValueError("spectrum does not match the state dimension")
     n = initial.dimension
     check_dimension(n)
-    energies = hamiltonian.energies()
-    probs = initial.probs
+    best = _pricing(hamiltonian.energies(), initial.probs, catalyst_dim)
     target = initial.catalyst_marginal()
     rhs = np.concatenate([[1.0], target[:-1]])
     # the identity keeps the catalyst, so the master is feasible from the start
     images = [np.arange(n)]
-    basis = None
+    stack = np.array(images)
+    problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, stack)
+    result = _identity_master(problem)
     while True:
-        stack = np.array(images)
-        problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, stack)
-        columns = np.vstack([np.ones(len(images)), problem.marginals[:, :-1].T])
-        result = simplex.simplex_solve(problem.work, columns, rhs, basis=basis)
-        image, reduced = _best_permutation(
-            energies, probs, target, result.dual[0], result.dual[1:]
-        )
+        image, reduced = best(result.dual[0], result.dual[1:])
         if reduced <= simplex.PIVOT_TOL or (stack == image).all(axis=1).any():
             break
         images.append(image)
+        stack = np.array(images)
+        problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, stack)
+        # kept as this vstack (F-ordered from the second round on): a C-ordered
+        # copy sends `multipliers @ columns` through another BLAS kernel, whose
+        # last-ulp differences change the pivots on degenerate masters
+        columns = np.vstack([np.ones(len(images)), problem.marginals[:, :-1].T])
         # appending a column keeps the basis primal feasible
-        basis = result.basis
+        result = simplex.simplex_solve(problem.work, columns, rhs, basis=result.basis)
     used = np.flatnonzero(result.x > 0.0)
     alphas = {PermutationMap(stack[k]): float(result.x[k]) for k in used}
     residuals = {
@@ -178,15 +198,13 @@ def lp_dual_check(solution: LPSolution) -> float:
     """Largest violation of the dual certificate.
 
     Checks dual feasibility, y >= w - x . a for every one of the n!
-    permutation columns (the worst is found by `_best_permutation`), and the
+    permutation columns (the worst is found by `_pricing`), and the
     strong-duality gap between the dual objective y + sum_k t_k x_k and the
     primal value.
     """
     target = solution.initial.catalyst_marginal()
     x = np.asarray(solution.dual_x)
-    _, reduced = _best_permutation(
-        solution.hamiltonian.energies(), solution.initial.probs, target,
-        solution.dual_y, x,
-    )
+    best = _pricing(solution.hamiltonian.energies(), solution.initial.probs, target.size)
+    _, reduced = best(solution.dual_y, x)
     gap = abs(solution.dual_y + float(target[:-1] @ x) - solution.value)
     return max(reduced, 0.0, gap)

@@ -3,8 +3,9 @@
 Solves  maximise c.x  subject to  A x = b, x >= 0  for the programs that
 `lp.lp_work_upper_bound` builds: feasible (the identity stroke keeps the
 catalyst), bounded (a convexity row) and with b >= 0.  A negative entry of b
-raises ValueError; a program that phase one finds infeasible, or that either
-phase finds unbounded, is an internal fault and raises RuntimeError.
+raises ValueError; a program that phase one finds infeasible, that either
+phase finds unbounded, or whose basis turns singular, is an internal fault
+and raises RuntimeError (the CLI's exit 4).
 Pivoting follows Bland's rule (smallest eligible index enters, among
 minimum-ratio rows the one whose basic variable has the smallest index
 leaves), which rules out cycling on the heavily degenerate programs this
@@ -57,19 +58,19 @@ def _iterate(
         current = np.linalg.solve(base, rhs)
         reduced = objective - multipliers @ columns
         reduced[basis] = 0.0
-        eligible = np.flatnonzero(reduced > PIVOT_TOL)
+        eligible = (reduced > PIVOT_TOL).nonzero()[0]
         if eligible.size == 0:
             return basis, iterations, multipliers, current
         entering = int(eligible[0])
         direction = np.linalg.solve(base, columns[:, entering])
         current = np.maximum(current, 0.0)
-        movable = np.flatnonzero(direction > PIVOT_TOL)
+        movable = (direction > PIVOT_TOL).nonzero()[0]
         if movable.size == 0:
             raise RuntimeError(f"{phase} reported unbounded; this is a bug")
         ratios = current[movable] / direction[movable]
         best = ratios.min()
         ties = movable[ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best))]
-        leaving_row = min(ties, key=lambda r: basis[r])
+        leaving_row = min(ties.tolist(), key=basis.__getitem__)
         basis[leaving_row] = entering
         iterations += 1
 
@@ -93,7 +94,15 @@ def simplex_solve(objective, constraints, rhs, basis=None) -> SimplexResult:
         raise ValueError("objective/rhs shapes do not match the constraints")
     if (rhs < 0).any():
         raise ValueError("rhs must be non-negative")
+    try:
+        return _two_phase(columns, rhs, objective, basis)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"simplex basis is singular ({exc}); this is a bug") from exc
 
+
+def _two_phase(columns, rhs, objective, basis) -> SimplexResult:
+    """`simplex_solve` on validated arrays."""
+    n_rows, n_cols = columns.shape
     kept_rows = list(range(n_rows))
     iterations = 0
     if basis is not None:

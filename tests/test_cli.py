@@ -204,7 +204,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            # argparse reads -1e-3 as an option, so --beta-h has no value
+            # -1e-3 is read as a value, so the range check refuses it
             ["report", "--beta-h", "-1e-3", "--beta-c", "3",
              "--omega-h", "1", "--omega-c", "0.5", "--otto"],
             # report works out the catalyst dimension; there is no flag for it
@@ -212,6 +212,7 @@ class TestConfigValidation:
              "--omega-c", "0.5", "--simple", "2,1", "--catalyst-dim", "3"],
             ["twostroke"],
             [],
+            ["fig5", "--bh-wh", "-2e-1"],
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
@@ -219,6 +220,8 @@ class TestConfigValidation:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        # a negative float literal is a value, never a flag without one
+        assert "expected one argument" not in err
 
     def test_mixed_forms_rejected(self, capsys):
         code, _, err = run_cli(
@@ -548,6 +551,23 @@ class TestFlowSolveExits:
 
 
 class TestLpBound:
+    def test_singular_master_basis_is_an_internal_fault(self, capsys):
+        # phase one drops rows of this degenerate master and phase two meets
+        # a singular basis; LinAlgError is a ValueError, which exited 2 before
+        code, out, err = run_cli(
+            capsys,
+            "lp-bound", "--beta-h", "1.4791840270206305", "--beta-c", "6.092192058055817",
+            "--omega-h", "2.278402649849333", "--omega-c", "2.3719128530096794",
+            "--catalyst-dim", "7", "--catalyst-populations",
+            "0.29385145859415635,0.22129905955007187,0.030301064832904078,"
+            "0.007270063214755719,0.08218312396547729,0.14876734100172545,"
+            "0.21632788884090928",
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("; this is a bug\n")
+
     def test_trivial_catalyst_matches_ergotropy(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -236,7 +237,7 @@ class TestPricing:
                     np.asarray(solution.dual_x) + rng.normal(0.0, 0.5, d_s - 1),
                 ))
             for y, x in duals:
-                image, reduced = lp._best_permutation(energies, probs, problem.target, y, x)
+                image, reduced = lp._pricing(energies, probs, d_s)(y, x)
                 brute = problem.work - y - problem.marginals[:, :-1] @ x
                 assert reduced == pytest.approx(brute.max(), abs=1e-12)
                 column = lp.build_work_bound_problem(hamiltonian, initial, d_s, image[None])
@@ -246,34 +247,81 @@ class TestPricing:
 
 class TestWarmStartPin:
     @pytest.mark.parametrize(
-        "catalyst, rounds, warm, pivots",
+        "catalyst, rounds, solves, warm, pivots",
         [
-            ([0.7, 0.3], 4, 2, 4),
-            ([0.5, 0.3, 0.2], 9, 6, 10),
-            ([0.4, 0.3, 0.2, 0.1], 11, 7, 16),
+            ([0.7, 0.3], 4, 3, 2, 3),
+            ([0.5, 0.3, 0.2], 9, 8, 6, 9),
+            ([0.4, 0.3, 0.2, 0.1], 11, 10, 7, 15),
         ],
     )
-    def test_round_counts(self, monkeypatch, catalyst, rounds, warm, pivots):
-        # rounds whose master is rank-deficient cold-start; the rest reuse
-        # the previous basis, so a change to the warm-start rule shows here
-        solve = simplex.simplex_solve
-        calls = []
+    def test_round_counts(self, monkeypatch, catalyst, rounds, solves, warm, pivots):
+        # every round builds its master; all but the first (the identity
+        # alone, solved in closed form) go to the simplex.  Rounds whose master
+        # is rank-deficient cold-start; the rest reuse the previous basis, so
+        # a change to the warm-start rule shows here
+        build, solve = lp.build_work_bound_problem, simplex.simplex_solve
+        built, calls = [], []
 
-        def counted(*args, basis=None):
+        def counted_build(*args):
+            built.append(len(args[3]))
+            return build(*args)
+
+        def counted_solve(*args, basis=None):
             result = solve(*args, basis=basis)
             calls.append((basis is not None, result.iterations))
             return result
 
-        monkeypatch.setattr(simplex, "simplex_solve", counted)
+        monkeypatch.setattr(lp, "build_work_bound_problem", counted_build)
+        monkeypatch.setattr(simplex, "simplex_solve", counted_solve)
         hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5)
         initial = ts.product_state(
             catalyst, ts.gibbs_populations(hot, 1.0), ts.gibbs_populations(cold, 3.0)
         )
         hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(len(catalyst)), hot, cold)
         lp.lp_work_upper_bound(hamiltonian, initial, len(catalyst))
-        assert len(calls) == rounds
+        assert built == list(range(1, rounds + 1))
+        assert len(calls) == solves == rounds - 1
         assert sum(warmed for warmed, _ in calls) == warm
         assert sum(used for _, used in calls) == pivots
+
+
+class TestIdentityMaster:
+    def test_closed_form_is_the_simplex_optimum(self, rng):
+        # the first master, the identity column alone, as the simplex solves
+        # it: value, x, duals and warm basis to the bit
+        for _ in range(300):
+            d_s = int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                catalyst = rng.dirichlet(np.ones(d_s))
+                if d_s > 1 and rng.random() < 0.3:
+                    catalyst[rng.integers(d_s)] = 0.0
+                    catalyst = catalyst / catalyst.sum()
+            else:
+                catalyst = np.full(d_s, 1.0 / d_s)
+            hot = ts.Spectrum.qubit(float(rng.uniform(0.3, 3.0)))
+            cold = ts.Spectrum.qubit(float(rng.uniform(0.2, 3.0)))
+            beta_h = float(rng.uniform(0.3, 2.0))
+            initial = ts.product_state(
+                catalyst,
+                ts.gibbs_populations(hot, beta_h),
+                ts.gibbs_populations(cold, beta_h * float(rng.uniform(1.1, 6.0))),
+            )
+            hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(d_s), hot, cold)
+            problem = lp.build_work_bound_problem(
+                hamiltonian, initial, d_s, np.arange(initial.dimension)[None]
+            )
+            if rng.random() < 0.5:
+                # the identity's work is 0 up to the builder's rounding; an
+                # offset shows that the closed form reads it, not assumes 0
+                problem = dataclasses.replace(problem, work=problem.work + rng.normal())
+            columns = np.vstack([np.ones(1), problem.marginals[:, :-1].T])
+            rhs = np.concatenate([[1.0], problem.target[:-1]])
+            solved = simplex.simplex_solve(problem.work, columns, rhs)
+            closed = lp._identity_master(problem)
+            assert repr(closed.value) == repr(solved.value)
+            assert closed.x.tobytes() == solved.x.tobytes()
+            assert closed.dual.tobytes() == solved.dual.tobytes()
+            assert closed.basis == solved.basis
 
 
 class TestGuardFallback:

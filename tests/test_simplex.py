@@ -47,6 +47,15 @@ class TestKnownPrograms:
         with pytest.raises(RuntimeError, match="phase two reported unbounded"):
             solve([1.0, 1.0], [[1.0, -1.0]], [0.0])
 
+    def test_singular_basis_is_an_internal_fault(self):
+        # a basis whose columns are dependent cannot be solved against; the
+        # LinAlgError (a ValueError) must not pass for a usage error
+        c, a, b = np.ones(2), np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2)
+        with pytest.raises(RuntimeError, match="simplex basis is singular") as info:
+            simplex.simplex_solve(c, a, b, basis=[0, 1])
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
     def test_negative_rhs_rejected(self):
         with pytest.raises(ValueError, match="rhs must be non-negative"):
             solve([1.0, 0.0], [[-1.0, -1.0]], [-1.0])
