@@ -13,11 +13,11 @@ into a cold one, the heats are
 so the efficiency is 1 - n*omega_c/((m+n)*omega_h) regardless of the
 transfer's size.  The transfer itself follows from the block flow-balance
 equations.  Each is a two-term recurrence between neighbouring blocks, so
-one O(d) pass over the blocks, closed by a 2x2 system, solves them at once
-for every (d - n, n) split of one d at one parameter point (the splits share
-one table of powers, and one slice of it when the cold segment runs
-backward); `delta_p_closed_form` gives the same transfer in closed form away
-from its poles.  Where the work is positive needs no solve at all: exactly
+one table of powers per segment and its prefix sums, each split closed by a
+2x2 system, solve them for every (d - n, n) split of one d at one parameter
+point in O(d) work; a split's d populations are built only when a caller
+asks for them.  `delta_p_closed_form` gives the same transfer in closed form
+away from its poles.  Where the work is positive needs no solve at all: exactly
 inside the window max(1, omega_c/omega_h) < d/n <
 beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a grid
 and which also decides `optimal_simple_perm_efficiency` and, as the
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,8 +50,7 @@ from .thermo import (
 
 NEGATIVE_POPULATION_TOL = 1e-12
 MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~1.4 GB to render
-SPLIT_BLOCK_ENTRIES = 2**16  # populations per block of solved splits: flat memory in d
-MAX_FLOW_ENTRIES = 2**22  # populations per flow solve, d x splits: fig5 up to d = 2048
+MAX_FLOW_ENTRIES = 2**22  # entries a flow solve materialises: d per split or fig5 curve, d^2 per sweep
 
 
 @dataclass(frozen=True)
@@ -136,11 +135,55 @@ def _check_boltzmann(boltz_hot: float, boltz_cold: float) -> tuple[float, float]
     return boltz_hot, boltz_cold
 
 
+class _FlowSolution(NamedTuple):
+    """A flow solve's splits, one entry per split in `n`: p_0, v and the
+    block transfer, with the coefficient tables whose [a; c] rows give every
+    population as a_k*p_0 + c_k*v."""
+
+    d: int
+    n: np.ndarray
+    p_0: np.ndarray
+    v: np.ndarray
+    transfer: np.ndarray
+    hot: np.ndarray
+    cold: np.ndarray
+    backward: bool
+
+    def populations(self, k: int) -> np.ndarray:
+        """The d unclipped populations of split k, checked elementwise."""
+        n = int(self.n[k])
+        m = self.d - n
+        hot, cold = self.hot, self.cold
+        if self.backward:
+            rest = cold[:2, n - 1 : 0 : -1]
+        else:
+            rest = cold[0, 1:n] * hot[:2, m, None]
+            rest[1] -= cold[1, 1:n]
+        coef = np.concatenate((hot[:2, : m + 1], rest), axis=1)
+        pops = coef[0] * self.p_0[k] + coef[1] * self.v[k]
+        _check_populations(pops)
+        return pops
+
+
+def _check_populations(pops: np.ndarray) -> None:
+    if not np.isfinite(pops).all() or pops.min() < -NEGATIVE_POPULATION_TOL:
+        raise RuntimeError(
+            "flow solve gave a negative or non-finite catalyst population; this is a bug"
+        )
+
+
+def _check_flow_entries(entries: int) -> None:
+    if entries > MAX_FLOW_ENTRIES:
+        raise GuardExceededError(
+            f"flow solve of {entries} catalyst populations exceeds the cap {MAX_FLOW_ENTRIES}"
+        )
+
+
 def _solve_flow_balance(
     d: int, n: Sequence[int], boltz_hot: float, boltz_cold: float
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Catalyst populations and block transfer of every (d - n, n) split at
-    one pair of Boltzmann factors; `n` is a range or an array of split counts.
+) -> _FlowSolution:
+    """Block transfer of every (d - n, n) split at one pair of Boltzmann
+    factors, in O(d + splits); `n` is an array of split counts.
 
     With N = 1/((1 + bh)(1 + bc)) block k balances N*bh*p_k - N*x*p_{k+1} =
     transfer (p_d = p_0), with x = 1 for the m = d - n ground-dropping blocks
@@ -158,76 +201,75 @@ def _solve_flow_balance(
     normalisation fix (p_0, v) by Cramer's rule.  The hot segment runs
     forward from p_0 in powers of bh; the cold segment runs backward from p_0
     in powers of bc/bh when bc <= bh and forward from p_m in powers of bh/bc
-    otherwise, so no power or partial sum grows.  Splits index one table of
-    powers; backward, block k's cold coefficients sit at j = d - k for every
-    split (one shared slice), forward each split reads its own window, from
-    its m.
+    otherwise, so no power or partial sum grows.  All splits read one table
+    of powers per segment, and the normalisation's coefficient sums close
+    each split from `np.cumsum` prefix sums of those tables, so no split's d
+    populations are built.  The cumsum is sequential, so each split's numbers
+    equal its one-split solve's bit for bit.
 
-    Yields (n, unclipped populations (splits, d), transfer) for consecutive
-    blocks of the splits, each of at most SPLIT_BLOCK_ENTRIES populations;
-    each number equals a one-split solve's.  More than MAX_FLOW_ENTRIES
-    populations in all, d * len(n), raise GuardExceededError (exit 4) before
-    anything is allocated.
+    Each segment is an affine recurrence with a slope in [0, 1]:
+    p_{k+1} = bh*p_k - max(bh, bc)*v on the hot blocks, q_{j+1} = r*q_j + v
+    backward (q_j = p_{d-j}) and p_{m+j+1} = r*p_{m+j} - v forward, with
+    r = min(bh, bc)/max(bh, bc).  Successive differences thus keep their
+    sign, so a segment is monotone and its populations lie between its ends,
+    and the positivity check reads each split's segment ends alone: p_0 and
+    p_m, and p_{m+1} when the cold segment runs backward or p_{d-1} when it
+    runs forward, each formed as its population would be.
+    `_FlowSolution.populations` builds one split's populations on demand and
+    checks them elementwise.  A catalyst of more than MAX_FLOW_ENTRIES blocks
+    raises GuardExceededError (exit 4) before anything is allocated.
     """
-    if d * len(n) > MAX_FLOW_ENTRIES:
-        raise GuardExceededError(
-            f"flow solve of {d * len(n)} catalyst populations exceeds the cap {MAX_FLOW_ENTRIES}"
-        )
+    _check_flow_entries(d)
+    n = np.asarray(n)
+    m = d - n
     bh, bc = boltz_hot, boltz_cold
     top = max(bh, bc)
     backward = bc <= bh
     # [a; c] tables, S_j = sum of the powers below j (R_j in the cold segment):
-    # hot[:, k] = [bh^k; -top*S_k] gives blocks 0..m, p_k = bh^k p_0 - top*S_k v;
-    # cold[:, j] = [r^j; R_j], j steps from either end of the cold segment:
-    # backward p_{d-j} = r^j p_0 + R_j v, forward p_{m+j} = r^j p_m - R_j v
-    hot = np.empty((2, d - min(n) + 1))
-    cold = np.empty((2, max(n) + 1))
+    # hot[:2, k] = [bh^k; -top*S_k] gives blocks 0..m, p_k = bh^k p_0 - top*S_k v;
+    # cold[:2, j] = [r^j; R_j], j steps from either end of the cold segment:
+    # backward p_{d-j} = r^j p_0 + R_j v, forward p_{m+j} = r^j p_m - R_j v.
+    # Rows 2:4 are prefix sums, of the hot columns 0..k and the cold steps 1..j.
+    hot = np.empty((4, d - int(n.min()) + 1))
+    cold = np.empty((4, int(n.max()) + 1))
     for table, base in ((hot, bh), (cold, min(bh, bc) / top)):
         np.power(base, np.arange(table.shape[1]), out=table[0])
         table[1, 0] = 0.0
         np.cumsum(table[0, :-1], out=table[1, 1:])
     hot[1] *= -top
-    step = max(1, SPLIT_BLOCK_ENTRIES // d)
-    for start in range(0, len(n), step):
-        block_n = np.asarray(n[start : start + step])
-        block_m = d - block_n
-        lo = d - int(block_n.max())
-        hi = d - int(block_n.min())
-        # columns lo+1..d-1: hot up to each split's m, cold past it
-        cols = np.arange(lo + 1, d)
-        end = hot[:, block_m]
-        last = cold[:, block_n]
-        ac = np.empty((2, block_n.size, d))
-        ac[..., : lo + 1] = hot[:, None, : lo + 1]
-        # the left-out balance: p_m from both segments (backward), p_d = p_0 (forward)
-        if backward:
-            ac[..., lo + 1 :] = cold[:, None, d - lo - 1 : 0 : -1]
-            close = end - last
-        else:
-            steps = cold.take(cols - block_m[:, None], axis=1, mode="clip")  # j < 0 -> 0
-            np.multiply(steps[0], end[..., None], out=ac[..., lo + 1 :])
-            ac[1, :, lo + 1 :] -= steps[1]
-            close = last[0] * end
-            close[0] -= 1.0
-            close[1] -= last[1]
-        np.copyto(
-            ac[..., lo + 1 : hi + 1], hot[:, None, lo + 1 : hi + 1],
-            where=cols[: hi - lo] <= block_m[:, None],
-        )
-        # row sums over rows of length d, as a one-split solve takes them
-        sums = ac.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det = close[0] * sums[1] - close[1] * sums[0]
-            p_0 = -close[1] / det
-            v = close[0] / det
-            pops = ac[0] * p_0[:, None] + ac[1] * v[:, None]
-            transfer = v * top / ((1.0 + bh) * (1.0 + bc))
-        # det == 0 leaves p_0 = pops[:, 0] non-finite, so finite pops imply a finite transfer
-        if not np.isfinite(pops).all() or pops.min() < -NEGATIVE_POPULATION_TOL:
-            raise RuntimeError(
-                "flow solve gave a negative or non-finite catalyst population; this is a bug"
-            )
-        yield block_n, pops, transfer
+    np.cumsum(hot[:2], axis=1, out=hot[2:])
+    cold[2:, 0] = 0.0
+    np.cumsum(cold[:2, 1:], axis=1, out=cold[2:, 1:])
+    at_m, at_n = hot[:, m], cold[:, n - 1]
+    end, sums, before, steps = at_m[:2], at_m[2:], at_n[:2], at_n[2:]
+    last = cold[:2, n]
+    # sums: each split's coefficients summed over its d blocks; coef: the [a; c]
+    # of its checked ends p_0, p_m and p_{m+1} (backward) or p_{d-1} (forward);
+    # close: the left-out balance, p_m from both segments (backward) or p_d = p_0
+    coef = np.empty((2, 3, n.size))
+    coef[:, 0] = hot[:2, :1]
+    coef[:, 1] = end
+    if backward:
+        coef[:, 2] = before
+        sums += steps
+        close = end - last
+    else:
+        np.multiply(before[0], end, out=coef[:, 2])
+        coef[1, 2] -= before[1]
+        sums[0] += end[0] * steps[0]
+        sums[1] += end[1] * steps[0] - steps[1]
+        close = last[0] * end
+        close[0] -= 1.0
+        close[1] -= last[1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = close[0] * sums[1] - close[1] * sums[0]
+        p_0 = -close[1] / det
+        v = close[0] / det
+        transfer = v * top / ((1.0 + bh) * (1.0 + bc))
+        ends = coef[0] * p_0 + coef[1] * v
+    # p_0's end is 1*p_0 + 0*v, as its population is: non-finite when det == 0 or v is
+    _check_populations(ends)
+    return _FlowSolution(d, n, p_0, v, transfer, hot, cold, backward)
 
 
 def solve_catalyst_state(
@@ -241,9 +283,8 @@ def solve_catalyst_state(
     (see `_solve_flow_balance`); rounding negatives no larger than
     NEGATIVE_POPULATION_TOL are clipped to zero.
     """
-    boltz = _check_boltzmann(boltz_hot, boltz_cold)
-    [(_, pops, transfer)] = _solve_flow_balance(shape.d, [shape.n], *boltz)
-    return CatalystState(np.clip(pops[0], 0.0, None), transfer[0])
+    flow = _solve_flow_balance(shape.d, [shape.n], *_check_boltzmann(boltz_hot, boltz_cold))
+    return CatalystState(np.clip(flow.populations(0), 0.0, None), flow.transfer[0])
 
 
 def delta_p_closed_form(
@@ -328,20 +369,23 @@ def sweep_simple_perms(
     beta: InverseTemperaturePair,
 ) -> list[tuple[SimplePermSpec, CycleReport, CatalystState]]:
     """Reports for all d splits (d - n, n) of a d-block catalyst, n = 1..d,
-    from one flow solve over all splits; populations are clipped as in
-    `solve_catalyst_state`.
+    from one flow solve over all splits; each split's populations are built
+    in turn and clipped as in `solve_catalyst_state`.  More than
+    MAX_FLOW_ENTRIES populations, d**2, raise GuardExceededError (exit 4)
+    before the solve.
     """
     d = int(catalyst_dim)
     if d < 1:
         return []
     omega_h, omega_c = float(omega_h), float(omega_c)
     boltz = _qubit_boltzmann(omega_h, omega_c, beta)
+    _check_flow_entries(d * d)
+    flow = _solve_flow_balance(d, np.arange(1, d + 1), *boltz)
     out = []
-    for block_n, pops, transfer in _solve_flow_balance(d, range(1, d + 1), *boltz):
-        for n, row, delta_p in zip(block_n.tolist(), pops, transfer):
-            shape = SimplePermSpec(d - n, n)
-            catalyst = CatalystState(np.clip(row, 0.0, None), delta_p)
-            out.append((shape, _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst))
+    for k, (n, delta_p) in enumerate(zip(flow.n.tolist(), flow.transfer)):
+        shape = SimplePermSpec(d - n, n)
+        catalyst = CatalystState(np.clip(flow.populations(k), 0.0, None), delta_p)
+        out.append((shape, _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst))
     return out
 
 
@@ -554,7 +598,6 @@ def fig_work_vs_cold_swaps(
         ),
     )
     boltz = _qubit_boltzmann(omega_h, omega_c, beta)
-    transfers = [transfer for _, _, transfer in _solve_flow_balance(d, range(1, d + 1), *boltz)]
-    splits = np.arange(1, d + 1)
-    heat_hot, heat_cold = _heats(d, splits, omega_h, omega_c, np.concatenate(transfers))
-    return list(zip(splits.tolist(), (heat_hot + heat_cold).tolist(), [baseline] * d))
+    flow = _solve_flow_balance(d, np.arange(1, d + 1), *boltz)
+    heat_hot, heat_cold = _heats(d, flow.n, omega_h, omega_c, flow.transfer)
+    return list(zip(flow.n.tolist(), (heat_hot + heat_cold).tolist(), [baseline] * d))

@@ -14,8 +14,8 @@ exists, so the former exit 3 "infeasible catalyst" is now exit 4.  A failure
 prints one `error:` line and no stdout, except optimize's exit 3 (its JSON).
 `regime-map` exits 4 on a grid of more than `catalysis.MAX_REGIME_ROWS` CSV
 rows (resolution**2 * (2 + number of d/n ratios)), `report --simple` and
-`fig5` on more than `catalysis.MAX_FLOW_ENTRIES` solved catalyst populations
-(d, or d**2 for fig5), `lp-bound` on a body above `lp.MAX_DIMENSION` and
+`fig5` on a catalyst of more than `catalysis.MAX_FLOW_ENTRIES` blocks (one
+split's d populations, or fig5's d rows), `lp-bound` on a body above `lp.MAX_DIMENSION` and
 `coherence-check` on a drawn catalyst above `coherence.MAX_SUITE_CATALYST_DIM`,
 all before any allocation.
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.

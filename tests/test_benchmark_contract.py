@@ -84,6 +84,19 @@ def test_regime_checker_accepts_the_window():
         assert workloads.regime_check(mods, inp, workloads.regime_run(mods, inp)) == []
 
 
+def test_ladder_census():
+    # 200 checked catalyst-ladder jobs (d = 120): every split's work against
+    # the closed-form transfer and every baseline against the ergotropy
+    workloads = load_perfbench("workloads")
+    mods = types.SimpleNamespace(catalysis=importlib.import_module("twostroke.catalysis"))
+    assert workloads.LADDER_DIM == 120
+    problems = []
+    for i in range(200):
+        inp = workloads.ladder_input(np.random.default_rng([2, i]))
+        problems += workloads.ladder_check(mods, inp, workloads.ladder_run(mods, inp))
+    assert problems == []
+
+
 def test_one_clean_job_per_workload(monkeypatch):
     # the workloads also read names outside the tracer's list (for instance
     # catalysis.delta_p_closed_form), so one checked job of each must run on

@@ -43,14 +43,16 @@ def subspace_flows(initial, final):
 
 
 def solve_splits(d, n, boltz_hot, boltz_cold):
-    """One batched flow solve at one parameter point, its blocks joined: the
-    solved n, populations (splits, d) and transfer (splits,)."""
+    """One batched flow solve at one parameter point, every split's
+    populations built: the solved n, populations (splits, d) and transfer
+    (splits,)."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        blocks = list(
-            catalysis._solve_flow_balance(d, np.asarray(n), float(boltz_hot), float(boltz_cold))
+        flow = catalysis._solve_flow_balance(
+            d, np.asarray(n), float(boltz_hot), float(boltz_cold)
         )
-    return tuple(np.concatenate(part) for part in zip(*blocks))
+        pops = np.array([flow.populations(k) for k in range(len(flow.n))])
+    return flow.n, pops, flow.transfer
 
 
 def flow_residuals(shape, ah, ac, state):
@@ -294,13 +296,49 @@ class TestFlowBalanceSolver:
             with pytest.raises(RuntimeError, match="negative or non-finite catalyst population"):
                 call()
 
-    def test_blocks_bound_memory(self):
-        d = 300
-        blocks = list(catalysis._solve_flow_balance(d, np.arange(1, d + 1), 0.6, 0.2))
-        assert len(blocks) > 1
-        assert all(pops.size <= catalysis.SPLIT_BLOCK_ENTRIES for _, pops, _ in blocks)
-        assert all(n.size == catalysis.SPLIT_BLOCK_ENTRIES // d for n, _, _ in blocks[:-1])
-        assert np.concatenate([n for n, _, _ in blocks]).tolist() == list(range(1, d + 1))
+    def test_end_check_matches_the_elementwise_minimum(self, monkeypatch):
+        # each segment is monotone (an affine recurrence with slope in [0, 1]),
+        # so a split's populations lie between its segment ends: p_0, p_m and
+        # p_{m+1} (bc <= bh) or p_{d-1} (bc > bh), which the solve checks;
+        # test_positivity_census's draws, then bc = 0 and bh = bc
+        checked = []
+        check = catalysis._check_populations
+        monkeypatch.setattr(
+            catalysis, "_check_populations", lambda values: checked.append(values) or check(values)
+        )
+        rng = np.random.default_rng(15)
+        for _ in range(400):
+            d = int(rng.integers(1, 300))
+            hot_exponent, cold_exponent = np.exp(rng.uniform(-8.0, math.log(740.0), size=2))
+            boltz_hot, boltz_cold = math.exp(-hot_exponent), math.exp(-cold_exponent)
+            for pair in ((boltz_hot, boltz_cold), (boltz_hot, 0.0), (boltz_hot, boltz_hot)):
+                checked.clear()
+                n, pops, _ = solve_splits(d, np.arange(1, d + 1), *pair)
+                m = d - n
+                third = (m + 1) % d if pair[1] <= pair[0] else np.full(d, d - 1)
+                ends = checked[0]
+                assert np.array_equal(ends, pops[np.arange(d), [np.zeros(d, int), m, third]])
+                assert len(checked) == d + 1
+                elementwise = np.array([row.min() for row in checked[1:]])
+                assert np.abs(ends.min(axis=0) - elementwise).max() <= 1e-15
+
+    def test_work_curve_at_dimension_100000(self):
+        # d^2 = 10^10 populations if built; the curve needs the transfers alone
+        d = 100_000
+        rows = ts.fig_work_vs_cold_swaps(d, 0.25, 8, 0.7)
+        assert [n for n, _, _ in rows] == list(range(1, d + 1))
+        beta = ts.InverseTemperaturePair(0.25, 0.25 * 8 / 0.7)
+        boltz_hot, boltz_cold = math.exp(-0.25), math.exp(-0.25 * 8 / 0.7 * 0.7)
+        for n in (1, 2, 7, 100, 1000, 2500, 12499, 12500, 50000, 99999, 100000):
+            shape = ts.SimplePermSpec(d - n, n)
+            report, _ = ts.simple_perm_report(shape, 1.0, 0.7, beta)
+            assert rows[n - 1][1] == report.work
+            if n >= 12499:
+                with pytest.raises(ts.DegeneratePointError):
+                    ts.delta_p_closed_form(shape, boltz_hot, boltz_cold)
+            else:
+                expected = (d - n * 0.7) * ts.delta_p_closed_form(shape, boltz_hot, boltz_cold)
+                assert abs(rows[n - 1][1] - expected) <= 1e-12
 
     def test_work_curve_at_dimension_2000(self):
         rows = ts.fig_work_vs_cold_swaps(2000, 0.25, 8, 0.7)

@@ -526,7 +526,7 @@ class TestFlowSolveExits:
         "argv, entries",
         [
             ([*REPORT, "--simple", "99999999,1"], 100000000),
-            (["fig5", "--catalyst-dim", "2049"], 2049**2),
+            (["fig5", "--catalyst-dim", "4194305"], 4194305),
         ],
     )
     def test_size_guard_exit_code(self, capsys, argv, entries):
