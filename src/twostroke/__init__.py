@@ -9,7 +9,6 @@ program over bistochastic strokes, and verifies that catalyst coherence is
 irrelevant to the machine's performance.
 """
 
-from .birkhoff import BistochasticMatrix, birkhoff_decompose
 from .catalysis import (
     CatalystState,
     SimplePermSpec,
@@ -42,7 +41,6 @@ from .permutations import (
     OptimizationResult,
     PermutationMap,
     apply_permutation,
-    enumerate_permutations,
     ergotropy,
     optimal_noncatalytic,
     passive_populations,
@@ -62,7 +60,6 @@ from .thermo import (
 )
 
 __all__ = [
-    "BistochasticMatrix",
     "CatalystState",
     "CoherenceCheckError",
     "ConfigError",
@@ -81,7 +78,6 @@ __all__ = [
     "Spectrum",
     "WorkBoundProblem",
     "apply_permutation",
-    "birkhoff_decompose",
     "build_simple_perm",
     "classify_modes",
     "clausius_lhs",
@@ -89,7 +85,6 @@ __all__ = [
     "decohere_catalyst_construction",
     "delta_p_closed_form",
     "dephase",
-    "enumerate_permutations",
     "ergotropy",
     "feasible_quality",
     "fig_work_vs_cold_swaps",

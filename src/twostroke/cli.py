@@ -311,9 +311,10 @@ def cmd_fig5(args) -> int:
     rows = catalysis.fig_work_vs_cold_swaps(
         args.catalyst_dim, args.bh_wh, args.ratio, args.freq_ratio
     )
+    baseline = "," + fmt12(rows[0][2])  # the same at every n
     lines = ["n,W_catalytic,W_noncatalytic_baseline"]
-    for n, catalytic, baseline in rows:
-        lines.append(f"{n},{fmt12(catalytic)},{fmt12(baseline)}")
+    for n, catalytic, _ in rows:
+        lines.append(f"{n},{fmt12(catalytic)}{baseline}")
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -83,15 +83,6 @@ def apply_permutation(state: PopulationVector, perm: PermutationMap) -> Populati
             f"permutation on {len(perm)} indices cannot act on dimension {state.dimension}"
         )
     return PopulationVector(perm.apply_to(state.probs), state.basis_shape)
-
-
-def enumerate_permutations(n: int) -> Iterator[PermutationMap]:
-    """All permutations of {0..n-1} in lexicographic order of image."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MAX_SWEEP_DIMENSION:
-        raise GuardExceededError(f"enumeration too large: {n}! permutations")
-    return (PermutationMap(image) for image in itertools.permutations(range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -165,12 +156,11 @@ def optimal_noncatalytic(
     engine = work > MODE_TOL
     if not engine.any():
         return OptimizationResult(0.0, (), None, False)
+    values = np.full(work.shape, -np.inf)
     if objective == "work":
-        values = work
+        values[engine] = work[engine]
     else:
-        values = np.full(work.shape, -np.inf)
         values[engine] = 1.0 + heat_cold[engine] / heat_hot[engine]
-    values = np.where(engine, values, -np.inf)
     best_index = int(values.argmax())
     best = float(values[best_index])
     winners = np.flatnonzero(values >= best - 1e-12)

@@ -35,9 +35,10 @@ def random_regime_tuple(rng):
 
 
 def random_mixture_matrix(rng, n, components=5):
+    """A random convex combination of n x n permutation matrices."""
     perms = [ts.PermutationMap(tuple(rng.permutation(n))) for _ in range(components)]
     weights = rng.dirichlet(np.ones(components))
-    return ts.BistochasticMatrix.from_mixture(weights, perms)
+    return sum(weight * perm.matrix() for weight, perm in zip(weights, perms))
 
 
 def gibbs_product(omega_h, omega_c, beta, catalyst=(1.0,)):

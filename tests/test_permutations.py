@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import twostroke as ts
-from twostroke.permutations import OTTO_SWAP_IMAGE, canonical_qubit_images
+from twostroke.permutations import OTTO_SWAP_IMAGE, canonical_qubit_images, images_array
 
 from conftest import gibbs_product, random_mixture_matrix, random_regime_tuple
 
@@ -132,17 +132,24 @@ class TestApplyPermutation:
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(1, 1), (3, 6), (4, 24)])
     def test_counts(self, n, count):
-        perms = list(ts.enumerate_permutations(n))
-        assert len(perms) == count
-        assert len({p.image for p in perms}) == count
+        images = images_array(n)
+        assert images.shape == (count, n)
+        assert len({tuple(image) for image in images.tolist()}) == count
+        assert all(sorted(image) == list(range(n)) for image in images.tolist())
 
     def test_lexicographic_order(self):
-        images = [p.image for p in ts.enumerate_permutations(3)]
+        images = images_array(3).tolist()
         assert images == sorted(images)
 
     def test_guard(self):
         with pytest.raises(ts.GuardExceededError, match="enumeration too large"):
-            list(ts.enumerate_permutations(10))
+            images_array(10)
+
+    def test_shared_array_is_read_only(self):
+        images = images_array(3)
+        assert images is images_array(3)
+        with pytest.raises(ValueError, match="read-only"):
+            images[0, 0] = 1
 
 
 class TestOptimalNoncatalytic:
@@ -228,7 +235,7 @@ class TestOptimalNoncatalytic:
             )
             for _ in range(40):
                 mix = random_mixture_matrix(rng, d_h * d_c)
-                final = ts.PopulationVector(mix.apply(initial.probs), initial.basis_shape)
+                final = ts.PopulationVector(mix @ initial.probs, initial.basis_shape)
                 report = ts.stroke_report(initial, final, hot, cold, beta)
                 if "engine" in report.modes:
                     assert report.efficiency <= result.best_value + 1e-10
@@ -393,7 +400,8 @@ class TestEfficiencyOrdering:
             ts.gibbs_populations(cold, beta.beta_c),
         )
         engines, coolers, accelerators = [], [], []
-        for perm in ts.enumerate_permutations(d_h * d_c):
+        for image in images_array(d_h * d_c):
+            perm = ts.PermutationMap(tuple(image))
             report = ts.stroke_report(
                 initial, ts.apply_permutation(initial, perm), hot, cold, beta
             )

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import twostroke as ts
 from twostroke.coherence import random_unitary
+from twostroke.permutations import images_array
 from twostroke.thermo import ACCELERATOR, COOLER, DEGENERATE, ENGINE, _kron
 
 from conftest import gibbs_product, random_regime_tuple
@@ -242,8 +243,8 @@ class TestStrokeReport:
         assert report.work == report.heat_hot + report.heat_cold
 
     def test_positive_work_needs_positive_hot_heat(self):
-        for perm in ts.enumerate_permutations(4):
-            final = ts.apply_permutation(self.initial, perm)
+        for image in images_array(4):
+            final = ts.apply_permutation(self.initial, ts.PermutationMap(tuple(image)))
             report = ts.stroke_report(
                 self.initial, final, self.hot, self.cold, self.beta
             )
@@ -287,8 +288,8 @@ class TestClausius:
         for _ in range(25):
             omega_h, omega_c, beta = random_regime_tuple(rng)
             initial = gibbs_product(omega_h, omega_c, beta)
-            for perm in ts.enumerate_permutations(4):
-                final = ts.apply_permutation(initial, perm)
+            for image in images_array(4):
+                final = ts.apply_permutation(initial, ts.PermutationMap(tuple(image)))
                 report = ts.stroke_report(
                     initial,
                     final,
