@@ -49,7 +49,7 @@ from .thermo import (
 )
 
 NEGATIVE_POPULATION_TOL = 1e-12
-MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~1.4 GB to render
+MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~175 MB to render
 MAX_FLOW_ENTRIES = 2**22  # entries a flow solve materialises: d per split or fig5 curve, d^2 per sweep
 
 

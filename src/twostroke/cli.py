@@ -5,9 +5,10 @@ coherence-check.  Scalar results are printed as JSON, tables as CSV; every
 float is rendered with 12 significant digits so emitted files are stable
 byte-for-byte across runs and platforms.
 
-Exit codes: 0 success, 1 a violated physics invariant (a failed coherence
-check), 2 usage or configuration error (any other ValueError) or non-finite
-result, 3 no engine regime, 4 size or iteration guard exceeded or an
+Exit codes: 0 success (also when the reader closes stdout early, as `| head`
+does: the rest of the output is dropped, with no traceback), 1 a violated
+physics invariant (a failed coherence check), 2 usage or configuration error
+(any other ValueError) or non-finite result, 3 no engine regime, 4 size or iteration guard exceeded or an
 internal fault (a RuntimeError).  A flow solve that yields a negative or
 non-finite catalyst is such a fault: a simple permutation's catalyst always
 exists, so the former exit 3 "infeasible catalyst" is now exit 4.  A failure
@@ -18,6 +19,9 @@ rows (resolution**2 * (2 + number of d/n ratios)), `report --simple` and
 split's d populations, or fig5's d rows), `lp-bound` on a body above `lp.MAX_DIMENSION` and
 `coherence-check` on a drawn catalyst above `coherence.MAX_SUITE_CATALYST_DIM`,
 all before any allocation.
+`regime-map` formats every axis value first and then writes its CSV one
+beta row at a time, so it holds about 17 bytes per row (a reference to a
+shared row text, its flag and a gather index), not the CSV's text.
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
 The parser is built once per process, on the first `main` call, and reused.
 An argv that starts with a subcommand is parsed once, by that subcommand's
@@ -30,11 +34,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import os
 import re
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -61,22 +67,27 @@ def round12(value: float | None) -> float | None:
 
 
 def fmt12(value: float | None) -> str:
+    """The text of round12(value) at 12 significant digits, in one format call."""
     if value is None:
         return ""
-    rounded = round12(value)
-    return f"{rounded:.12g}"
+    text = f"{float(value):.12g}"
+    if text in ("inf", "-inf", "nan"):
+        raise ConfigError(f"result is not finite ({text}) at these parameters")
+    return "0" if text == "-0" else text
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write to --output, or to stdout; an unwritable path raises ConfigError."""
+def _emit(text: str | Iterable[str], output: str | None) -> None:
+    """Write a text, or an iterable of text chunks in order, to --output or to
+    stdout; an unwritable path raises ConfigError."""
+    chunks = (text,) if isinstance(text, str) else text
     if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             raise ConfigError(f"cannot write --output {output!r}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -274,36 +285,35 @@ def cmd_regime_map(args) -> int:
         (args.freq_ratio_min, args.freq_ratio_max),
         args.resolution,
     )
-    chunks = [
+    header = (
         "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)\n"
         "# normalisation: beta_h = 1 and omega_h = 1 at every grid point\n"
         "# catalytic rows realise d/n in lowest terms\n"
         "# feasible: carnot = any engine possible; otto = bare hot-cold swap runs;"
         " catalytic = the d/n simple permutation runs with a valid catalyst\n"
         "beta_ratio,freq_ratio,d_over_n,feasible,region_label\n"
-    ]
-    # One row per (beta, freq, region), beta outermost.  Each point's flags
-    # pack into a key, bit k for region k, and each distinct key's rows are
-    # formatted once: joining ["", row_0, ..., row_last] with the point's
-    # "beta,freq," prefix puts the prefix in front of every row.
+    )
+    # One row per (beta, freq, region), beta outermost.  Every axis value is
+    # formatted before the first write, so a failure prints no stdout.  A
+    # table holds each frequency's rows for both flag values, row 2k + flag
+    # of frequency j at lines[2K*j + 2k + flag] = "freq_j,label_k,flag,region_k\n"
+    # for K regions, and one gather takes every point's rows.  A beta row is
+    # joined only when it is written: joining with "beta," and prefixing it
+    # puts "beta," before every row.
+    suffixes = np.array(
+        [f",{label},{flag},{region}\n" for label, region, _ in result.regions for flag in (0, 1)],
+        dtype=object,
+    )
+    freq_texts = np.array([fmt12(freq) for freq in result.freq_ratios], dtype=object)
+    lines = (freq_texts[:, None] + suffixes).ravel()
     flags = np.stack([mask for _, _, mask in result.regions], axis=-1)
-    packed = np.packbits(flags, axis=-1, bitorder="little")
-    keys = packed.view(f"V{packed.shape[-1]}")[..., 0].tolist()
-    blocks = {}
-    for key in set().union(*keys):
-        code = int.from_bytes(key, "little")
-        blocks[key] = [""] + [
-            f"{label},{code >> bit & 1},{region}\n"
-            for bit, (label, region, _) in enumerate(result.regions)
-        ]
-    freq_texts = [fmt12(freq) + "," for freq in result.freq_ratios]
-    for beta, beta_keys in zip(result.beta_ratios, keys):
-        beta_text = fmt12(beta) + ","
-        chunks += [
-            (beta_text + freq_text).join(blocks[key])
-            for freq_text, key in zip(freq_texts, beta_keys)
-        ]
-    _emit("".join(chunks), args.output)
+    rows = lines.take(flags + np.arange(0, lines.size, 2).reshape(flags.shape[1:]))
+    beta_texts = [fmt12(beta) + "," for beta in result.beta_ratios]
+    body = (
+        beta_text + beta_text.join(row.tolist())
+        for beta_text, row in zip(beta_texts, rows.reshape(len(beta_texts), -1))
+    )
+    _emit(itertools.chain((header,), body), args.output)
     return 0
 
 
@@ -479,7 +489,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         # overflow shows up as a non-finite result, which exits 2 on its own
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`), which ends the output, not the
+        # run.  Point a real stdout fd at devnull, so that the interpreter's
+        # final flush of what is still buffered stays silent.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 0  # an in-process stream such as StringIO
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 0
     except (ValueError, RuntimeError, CoherenceCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NoEngineRegimeError):

@@ -465,7 +465,7 @@ class TestRegimeMap:
             assert out == self.reference_csv(chart), argv
 
     def test_many_regions_match_row_reference(self, capsys):
-        # 72 regions: each grid point's flags span nine bytes
+        # 72 regions: 144 table rows per frequency
         qualities = [f"{d}/7" for d in range(8, 78)]
         chart = ts.regime_map(qualities, (1.01, 12.0), (0.05, 2.5), 7)
         code, out, _ = run_cli(
@@ -475,6 +475,82 @@ class TestRegimeMap:
         )
         assert code == 0
         assert out == self.reference_csv(chart)
+
+    @pytest.mark.parametrize(
+        "case", ["workload", "readme", "resolution-2", "one-ratio", "subnormal-axis"]
+    )
+    def test_bytes_match_point_loop(self, capsys, tmp_path, case):
+        """stdout and --output bytes against a per-point triple loop."""
+        rng = np.random.default_rng(2201)
+        ranges = {
+            "--beta-ratio-min": float(rng.uniform(1.01, 1.2)),
+            "--beta-ratio-max": float(rng.uniform(3.5, 4.5)),
+            "--freq-ratio-min": float(rng.uniform(0.05, 0.2)),
+            "--freq-ratio-max": float(rng.uniform(2.0, 2.5)),
+        }
+        argv = {
+            # the regime-csv benchmark's shape
+            "workload": ["--d-over-n", "5/3,2.2,3.2,4,63/2", "--resolution", "40"],
+            "readme": next(a for a in readme_commands() if a[0] == "regime-map")[1:],
+            "resolution-2": ["--d-over-n", "1/2,63/2", "--resolution", "2"],
+            "one-ratio": ["--d-over-n", "7/5", "--resolution", "23"],
+            "subnormal-axis": [
+                "--resolution", "9", "--freq-ratio-min", "1e-320", "--freq-ratio-max", "3e-318",
+            ],
+        }[case]
+        if case not in ("readme", "subnormal-axis"):
+            argv += [item for flag, value in ranges.items() for item in (flag, repr(value))]
+        args = build_parser().commands["regime-map"].parse_args(argv)
+        chart = ts.regime_map(
+            args.d_over_n.split(","),
+            (args.beta_ratio_min, args.beta_ratio_max),
+            (args.freq_ratio_min, args.freq_ratio_max),
+            args.resolution,
+        )
+        expected = self.reference_csv(chart).encode()
+        code, out, err = run_cli(capsys, "regime-map", *argv)
+        assert (code, err) == (0, "")
+        assert out.encode() == expected
+        path = tmp_path / "regime.csv"
+        assert run_cli(capsys, "regime-map", *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == expected
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the child's VmHWM"
+    )
+    def test_large_map_streams_in_bounded_memory(self, tmp_path):
+        """A 2.52M-row map (about 100 MB of CSV) peaks well below the CSV's size.
+
+        The child reports its own peak RSS, VmHWM.  Neither RUSAGE_CHILDREN
+        (the largest child of the whole test run) nor the child's ru_maxrss
+        will do: Linux carries the forking parent's peak across exec into the
+        child's ru_maxrss.  The renderer held about three copies of the CSV
+        before it streamed rows (370 MB peak here); it now holds about 17
+        bytes per row (about 75 MB).
+        """
+        path = tmp_path / "regime.csv"
+        child = (
+            "import re, sys\n"
+            "from twostroke.cli import main\n"
+            "code = main(['regime-map', '--d-over-n', '5/3,2.2,3.2,4,63/2',"
+            " '--resolution', '600', '--output', sys.argv[1]])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak_kb = re.search(r'VmHWM:\\s+(\\d+) kB', status.read()).group(1)\n"
+            "print(code, int(peak_kb) / 1024)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        code, peak_mb = done.stdout.split()
+        with path.open("rb") as handle:
+            rows = sum(chunk.count(b"\n") for chunk in iter(lambda: handle.read(1 << 20), b""))
+        path.unlink()
+        assert (code, done.stderr, rows) == ("0", "", 5 + 600 * 600 * 7)
+        assert float(peak_mb) < 150
 
     def test_zero_denominator(self, capsys):
         code, out, err = run_cli(
@@ -991,6 +1067,80 @@ class TestJsonText:
         payload = {"a": [1.0, {"b": -math.inf}], "c": math.nan}
         with pytest.raises(ConfigError, match=r"not finite \(-inf\)"):
             cli._json_text(payload)
+
+
+class TestFmt12:
+    def test_census_matches_round12(self):
+        """fmt12 gives the text of round12's float at 12 digits on 10^6 doubles."""
+        rng = np.random.default_rng(1212)
+        bits = rng.integers(0, 2**64, size=520_000, dtype=np.uint64, endpoint=False)
+        subnormal = bits[:200_000] & np.uint64(0x800F_FFFF_FFFF_FFFF)
+        # 13-digit decimals ending in 5: ties at the 12th digit
+        ties = (rng.integers(10**11, 10**12, size=200_000) * 10 + 5).astype(float)
+        ties *= 10.0 ** rng.integers(-320, 296, size=ties.size).astype(float)
+        edges = np.array([
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, 1e16, 999999999999.5,
+        ])
+        values = np.concatenate([
+            bits.view(np.float64), subnormal.view(np.float64), ties,
+            rng.standard_normal(100_000) * 10.0 ** rng.integers(-300, 300, size=100_000),
+            edges,
+        ]).tolist()
+        finite = [value for value in values if math.isfinite(value)]
+        assert len(finite) >= 10**6
+        differ = [v.hex() for v in finite if fmt12(v) != f"{cli.round12(v):.12g}"]
+        assert differ == []
+        assert fmt12(-0.0) == "0" and fmt12(None) == ""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -math.nan])
+    def test_non_finite_raises_round12_error(self, value):
+        with pytest.raises(ConfigError) as expected:
+            cli.round12(value)
+        with pytest.raises(ConfigError) as raised:
+            fmt12(value)
+        assert str(raised.value) == str(expected.value)
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe ends the output quietly, with exit 0."""
+
+    @staticmethod
+    def spawn(argv, stdout):
+        """The CLI in a new interpreter with a block-buffered stdout: a short
+        output then meets the closed pipe only when it is flushed."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.Popen(
+            [sys.executable, "-m", "twostroke.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, env=env,
+        )
+
+    def test_reader_closes_mid_stream(self):
+        child = self.spawn(["regime-map", "--resolution", "300"], subprocess.PIPE)
+        assert child.stdout.read(10) == b"# regime m"
+        child.stdout.close()
+        assert child.wait(timeout=60) == 0
+        assert child.stderr.read() == b""
+        child.stderr.close()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table24", "--beta-h", "1", "--beta-c", "2", "--omega-h", "1", "--omega-c", "0.5"],
+            ["report", "--beta-h", "1", "--beta-c", "3", "--omega-h", "1", "--omega-c", "0.5",
+             "--otto"],
+        ],
+    )
+    def test_reader_gone_before_the_first_write(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = self.spawn(argv, write_end)
+        finally:
+            os.close(write_end)
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (0, b"")
 
 
 def readme_commands():
