@@ -475,6 +475,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point a real stdout fd at devnull after a failed write, so that the
+    interpreter's final flush of what is still buffered stays silent."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # an in-process stream such as StringIO
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
@@ -493,17 +505,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()
         return code
     except BrokenPipeError:
-        # The reader closed stdout (`| head`), which ends the output, not the
-        # run.  Point a real stdout fd at devnull, so that the interpreter's
-        # final flush of what is still buffered stays silent.
-        try:
-            fd = sys.stdout.fileno()
-        except (AttributeError, OSError, ValueError):
-            return 0  # an in-process stream such as StringIO
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
+        # The reader closed stdout (`| head`), which ends the output, not the run.
+        _discard_stdout()
         return 0
+    except OSError as exc:
+        # Any other failed write to stdout (`> /dev/full`): `_emit` turns an
+        # unwritable --output into ConfigError, so no other OSError gets here.
+        _discard_stdout()
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError, CoherenceCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NoEngineRegimeError):

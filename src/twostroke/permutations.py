@@ -9,7 +9,6 @@ the guard keeps n at 9 or below (9! = 362880).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal
@@ -87,10 +86,22 @@ def apply_permutation(state: PopulationVector, perm: PermutationMap) -> Populati
 
 @lru_cache(maxsize=None)
 def images_array(n: int) -> np.ndarray:
-    """All n! images as an (n!, n) integer array, lexicographically ordered."""
+    """All n! images as an (n!, n) integer array, lexicographically ordered.
+
+    S_k is built from S_{k-1} for k = 1..n: block i of S_k holds the rows
+    that start with i, followed by the rows of S_{k-1} with every entry >= i
+    raised by one.  That map is increasing, so each block, and the stack of
+    blocks, stays in lexicographic order.
+    """
     if n > MAX_SWEEP_DIMENSION:
         raise GuardExceededError(f"enumeration too large: {n}! permutations")
-    arr = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    arr = np.empty((1, 0), dtype=np.int64)
+    for k in range(1, n + 1):
+        prev, arr = arr, np.empty((k * len(arr), k), dtype=np.int64)
+        blocks = arr.reshape(k, len(prev), k)
+        levels = np.arange(k)
+        blocks[:, :, 0] = levels[:, None]
+        np.add(prev, prev >= levels[:, None, None], out=blocks[:, :, 1:])
     arr.setflags(write=False)
     return arr
 

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -1141,6 +1142,31 @@ class TestClosedStdout:
             os.close(write_end)
         _, err = child.communicate(timeout=60)
         assert (child.returncode, err) == (0, b"")
+
+
+class TestUnwritableStdout:
+    """A stdout that refuses writes exits 2 with one `error:` line, as an
+    unwritable --output does."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_full_device(self, unbuffered):
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["table24", "--beta-h", "1", "--beta-c", "2", "--omega-h", "1", "--omega-c", "0.5"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "twostroke.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+        ]
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
 
 
 def readme_commands():

@@ -141,7 +141,21 @@ class TestEnumeration:
         images = images_array(3).tolist()
         assert images == sorted(images)
 
-    def test_guard(self):
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_itertools(self, n):
+        images = images_array(n)
+        expected = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        expected = expected.reshape(math.factorial(n), n)
+        assert images.dtype == expected.dtype
+        assert np.array_equal(images, expected)
+        assert images.flags.c_contiguous
+        assert not images.flags.writeable
+
+    def test_guard(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the guard")
+
+        monkeypatch.setattr(np, "empty", refuse)
         with pytest.raises(ts.GuardExceededError, match="enumeration too large"):
             images_array(10)
 
