@@ -15,8 +15,8 @@ transfer's size.  The transfer itself follows from the block flow-balance
 equations.  Each is a two-term recurrence between neighbouring blocks, so
 one table of powers per segment and its prefix sums, each split closed by a
 2x2 system, solve them for every (d - n, n) split of one d at one parameter
-point in O(d) work; a split's d populations are built only when a caller
-asks for them.  `delta_p_closed_form` gives the same transfer in closed form
+point in O(d) work, a fixed-size chunk of splits at a time; a split's d
+populations are built only when a caller asks for them.  `delta_p_closed_form` gives the same transfer in closed form
 away from its poles.  Where the work is positive needs no solve at all: exactly
 inside the window max(1, omega_c/omega_h) < d/n <
 beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a grid
@@ -44,13 +44,16 @@ from .thermo import (
     InverseTemperaturePair,
     Spectrum,
     _kron,
-    combined_spectrum,
     gibbs_populations,
 )
 
 NEGATIVE_POPULATION_TOL = 1e-12
 MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~175 MB to render
-MAX_FLOW_ENTRIES = 2**22  # entries a flow solve materialises: d per split or fig5 curve, d^2 per sweep
+# Entries a flow solve materialises: d per split or fig5 curve, d^2 per sweep.
+# fig5 peaks at about 100 bytes per row (VmHWM 430 MB at the cap, 30 MB of it
+# the interpreter), mostly the solve's two (4, d + 1) tables.
+MAX_FLOW_ENTRIES = 2**22
+_FLOW_CHUNK = 2**16  # splits `_solve_flow_balance` closes per pass: ~220 bytes each
 
 
 @dataclass(frozen=True)
@@ -180,7 +183,7 @@ def _check_flow_entries(entries: int) -> None:
 
 
 def _solve_flow_balance(
-    d: int, n: Sequence[int], boltz_hot: float, boltz_cold: float
+    d: int, n: Sequence[int], boltz_hot: float, boltz_cold: float, check_ends: bool = True
 ) -> _FlowSolution:
     """Block transfer of every (d - n, n) split at one pair of Boltzmann
     factors, in O(d + splits); `n` is an array of split counts.
@@ -205,7 +208,9 @@ def _solve_flow_balance(
     of powers per segment, and the normalisation's coefficient sums close
     each split from `np.cumsum` prefix sums of those tables, so no split's d
     populations are built.  The cumsum is sequential, so each split's numbers
-    equal its one-split solve's bit for bit.
+    equal its one-split solve's bit for bit.  Splits are closed _FLOW_CHUNK at
+    a time; each is an elementwise function of the shared tables, so the
+    chunks change no bit.
 
     Each segment is an affine recurrence with a slope in [0, 1]:
     p_{k+1} = bh*p_k - max(bh, bc)*v on the hot blocks, q_{j+1} = r*q_j + v
@@ -216,15 +221,15 @@ def _solve_flow_balance(
     p_m, and p_{m+1} when the cold segment runs backward or p_{d-1} when it
     runs forward, each formed as its population would be.
     `_FlowSolution.populations` builds one split's populations on demand and
-    checks them elementwise.  A catalyst of more than MAX_FLOW_ENTRIES blocks
-    raises GuardExceededError (exit 4) before anything is allocated.
+    checks them elementwise; `solve_catalyst_state`, which builds them
+    anyway, passes check_ends=False.  A catalyst of more than
+    MAX_FLOW_ENTRIES blocks raises GuardExceededError (exit 4) before
+    anything is allocated.
     """
     _check_flow_entries(d)
     n = np.asarray(n)
-    m = d - n
     bh, bc = boltz_hot, boltz_cold
     top = max(bh, bc)
-    backward = bc <= bh
     # [a; c] tables, S_j = sum of the powers below j (R_j in the cold segment):
     # hot[:2, k] = [bh^k; -top*S_k] gives blocks 0..m, p_k = bh^k p_0 - top*S_k v;
     # cold[:2, j] = [r^j; R_j], j steps from either end of the cold segment:
@@ -235,27 +240,36 @@ def _solve_flow_balance(
     for table, base in ((hot, bh), (cold, min(bh, bc) / top)):
         np.power(base, np.arange(table.shape[1]), out=table[0])
         table[1, 0] = 0.0
-        np.cumsum(table[0, :-1], out=table[1, 1:])
+        table[0, :-1].cumsum(out=table[1, 1:])
     hot[1] *= -top
-    np.cumsum(hot[:2], axis=1, out=hot[2:])
+    hot[:2].cumsum(axis=1, out=hot[2:])
     cold[2:, 0] = 0.0
-    np.cumsum(cold[:2, 1:], axis=1, out=cold[2:, 1:])
+    cold[:2, 1:].cumsum(axis=1, out=cold[2:, 1:])
+    chunks = range(0, n.size, _FLOW_CHUNK)
+    if len(chunks) == 1:
+        p_0, v, transfer = _close_splits(d, n, hot, cold, bh, bc, check_ends)
+    else:
+        p_0, v, transfer = solved = np.empty((3, n.size))
+        for start in chunks:
+            part = slice(start, start + _FLOW_CHUNK)
+            solved[:, part] = _close_splits(d, n[part], hot, cold, bh, bc, check_ends)
+    return _FlowSolution(d, n, p_0, v, transfer, hot, cold, bc <= bh)
+
+
+def _close_splits(d, n, hot, cold, bh, bc, check_ends):
+    """p_0, v and transfer of the splits in `n` from `_solve_flow_balance`'s
+    tables, each split's segment ends checked when check_ends is true."""
+    m = d - n
+    top = max(bh, bc)
     at_m, at_n = hot[:, m], cold[:, n - 1]
     end, sums, before, steps = at_m[:2], at_m[2:], at_n[:2], at_n[2:]
     last = cold[:2, n]
-    # sums: each split's coefficients summed over its d blocks; coef: the [a; c]
-    # of its checked ends p_0, p_m and p_{m+1} (backward) or p_{d-1} (forward);
-    # close: the left-out balance, p_m from both segments (backward) or p_d = p_0
-    coef = np.empty((2, 3, n.size))
-    coef[:, 0] = hot[:2, :1]
-    coef[:, 1] = end
-    if backward:
-        coef[:, 2] = before
+    # sums: each split's coefficients summed over its d blocks; close: the
+    # left-out balance, p_m from both segments (backward) or p_d = p_0
+    if bc <= bh:
         sums += steps
         close = end - last
     else:
-        np.multiply(before[0], end, out=coef[:, 2])
-        coef[1, 2] -= before[1]
         sums[0] += end[0] * steps[0]
         sums[1] += end[1] * steps[0] - steps[1]
         close = last[0] * end
@@ -266,10 +280,19 @@ def _solve_flow_balance(
         p_0 = -close[1] / det
         v = close[0] / det
         transfer = v * top / ((1.0 + bh) * (1.0 + bc))
-        ends = coef[0] * p_0 + coef[1] * v
-    # p_0's end is 1*p_0 + 0*v, as its population is: non-finite when det == 0 or v is
-    _check_populations(ends)
-    return _FlowSolution(d, n, p_0, v, transfer, hot, cold, backward)
+        if check_ends:
+            # the [a; c] of p_0, p_m and p_{m+1} (backward) or p_{d-1} (forward)
+            coef = np.empty((2, 3, n.size))
+            coef[:, 0] = hot[:2, :1]
+            coef[:, 1] = end
+            if bc <= bh:
+                coef[:, 2] = before
+            else:
+                np.multiply(before[0], end, out=coef[:, 2])
+                coef[1, 2] -= before[1]
+            # p_0's end is 1*p_0 + 0*v, as its population is: non-finite when det == 0 or v is
+            _check_populations(coef[0] * p_0 + coef[1] * v)
+    return p_0, v, transfer
 
 
 def solve_catalyst_state(
@@ -281,10 +304,14 @@ def solve_catalyst_state(
     `boltz_hot`/`boltz_cold` are the excited-level Boltzmann factors
     exp(-beta*omega) of the hot and cold qubits.  The catalyst always exists
     (see `_solve_flow_balance`); rounding negatives no larger than
-    NEGATIVE_POPULATION_TOL are clipped to zero.
+    NEGATIVE_POPULATION_TOL are clipped to zero.  The populations, which hold
+    the solve's segment ends bit for bit, are built and checked once.
     """
-    flow = _solve_flow_balance(shape.d, [shape.n], *_check_boltzmann(boltz_hot, boltz_cold))
-    return CatalystState(np.clip(flow.populations(0), 0.0, None), flow.transfer[0])
+    boltz = _check_boltzmann(boltz_hot, boltz_cold)
+    flow = _solve_flow_balance(shape.d, [shape.n], *boltz, check_ends=False)
+    with np.errstate(invalid="ignore", over="ignore"):  # a fault the check reports
+        populations = flow.populations(0)
+    return CatalystState(np.clip(populations, 0.0, None), flow.transfer[0])
 
 
 def delta_p_closed_form(
@@ -564,13 +591,16 @@ def fig_work_vs_cold_swaps(
     hot_exponent: float,
     exponent_ratio: float,
     freq_ratio: float,
-) -> list[tuple[int, float, float]]:
+) -> np.ndarray:
     """Work of every (d - n, n) simple permutation next to the best
     non-catalytic work at the same parameters.
 
     Parameters are dimensionless: omega_h = 1, beta_h = hot_exponent,
     beta_c*omega_c = exponent_ratio * hot_exponent and omega_c = freq_ratio.
-    Returns (n, catalytic work, non-catalytic baseline) triples.
+    Returns a (d, 3) float64 array of rows (n, catalytic work, non-catalytic
+    baseline), n = 1..d exactly, from one flow solve over all splits; the
+    baseline is the ergotropy of the two bath qubits, on the energies
+    (0, omega_c, omega_h, omega_h + omega_c) of their flat levels.
     """
     d = int(catalyst_dim)
     if d < 1:
@@ -592,12 +622,15 @@ def fig_work_vs_cold_swaps(
     hot = gibbs_populations(Spectrum.qubit(omega_h), beta_h)
     cold = gibbs_populations(Spectrum.qubit(omega_c), beta_c)
     baseline = ergotropy(
-        _kron(hot, cold),
-        combined_spectrum(
-            Spectrum.trivial(1), Spectrum.qubit(omega_h), Spectrum.qubit(omega_c)
-        ),
+        _kron(hot, cold), Spectrum((0.0, omega_c, omega_h, omega_h + omega_c))
     )
     boltz = _qubit_boltzmann(omega_h, omega_c, beta)
-    flow = _solve_flow_balance(d, np.arange(1, d + 1), *boltz)
-    heat_hot, heat_cold = _heats(d, flow.n, omega_h, omega_c, flow.transfer)
-    return list(zip(flow.n.tolist(), (heat_hot + heat_cold).tolist(), [baseline] * d))
+    n = np.arange(1, d + 1)
+    # only the transfers outlive the solve, not its (4, d + 1) tables
+    transfer = _solve_flow_balance(d, n, *boltz).transfer
+    curve = np.empty((d, 3))
+    curve[:, 0] = n
+    heat_hot, heat_cold = _heats(d, n, omega_h, omega_c, transfer)
+    np.add(heat_hot, heat_cold, out=curve[:, 1])
+    curve[:, 2] = baseline
+    return curve

@@ -8,7 +8,8 @@ byte-for-byte across runs and platforms.
 Exit codes: 0 success (also when the reader closes stdout early, as `| head`
 does: the rest of the output is dropped, with no traceback), 1 a violated
 physics invariant (a failed coherence check), 2 usage or configuration error
-(any other ValueError) or non-finite result, 3 no engine regime, 4 size or iteration guard exceeded or an
+(any other ValueError), non-finite result or a stdout that cannot be written
+(`-h` included), 3 no engine regime, 4 size or iteration guard exceeded or an
 internal fault (a RuntimeError).  A flow solve that yields a negative or
 non-finite catalyst is such a fault: a simple permutation's catalyst always
 exists, so the former exit 3 "infeasible catalyst" is now exit 4.  A failure
@@ -22,12 +23,16 @@ all before any allocation.
 `regime-map` formats every axis value first and then writes its CSV one
 beta row at a time, so it holds about 17 bytes per row (a reference to a
 shared row text, its flag and a gather index), not the CSV's text.
+`fig5` checks that every work of its (d, 3) curve array is finite, then
+formats and writes the CSV _CSV_ROWS rows at a time.
 `report --perm/--otto`, `table24` and `optimize` share `permutations.sweep_heats`.
 The parser is built once per process, on the first `main` call, and reused.
 An argv that starts with a subcommand is parsed once, by that subcommand's
 parser; any other argv goes through the top-level parser, which prints the
 help or the usage error.  JSON is written by one recursive pass that rounds
-each float and gives the exact text of `json.dumps(..., indent=2)`.
+each float and gives the exact text of `json.dumps(..., indent=2)`; a list
+of more than _JSON_ITEMS items, such as `report --simple`'s populations, is
+rendered in pieces, all before the first write.
 """
 
 from __future__ import annotations
@@ -91,6 +96,8 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_CSV_ROWS = 2**14  # fig5 rows formatted per written chunk
+_JSON_ITEMS = 2**12  # items of a long JSON list rendered per written piece
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -128,8 +135,34 @@ def _json_text(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _json_pieces(value, indent: str = "\n"):
+    """The text of `_json_text(value, indent)` in pieces, in order.
+
+    Dicts are opened key by key, and a list of more than _JSON_ITEMS items
+    is rendered _JSON_ITEMS items a piece, so that no text holds it whole.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        opening = "{" + inner
+        for key, item in value.items():
+            yield opening + _encode_str(key) + ": "
+            yield from _json_pieces(item, inner)
+            opening = "," + inner
+        yield indent + "}"
+    elif isinstance(value, (list, tuple)) and len(value) > _JSON_ITEMS:
+        opening = "[" + inner
+        for first in range(0, len(value), _JSON_ITEMS):
+            items = value[first : first + _JSON_ITEMS]
+            yield opening + ("," + inner).join([_json_text(item, inner) for item in items])
+            opening = "," + inner
+        yield indent + "]"
+    else:
+        yield _json_text(value, indent)
+
+
 def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(_json_text(payload) + "\n", output)
+    # every piece is rendered before the first write, so a failure prints no stdout
+    _emit([*_json_pieces(payload), "\n"], output)
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -318,14 +351,20 @@ def cmd_regime_map(args) -> int:
 
 
 def cmd_fig5(args) -> int:
-    rows = catalysis.fig_work_vs_cold_swaps(
+    curve = catalysis.fig_work_vs_cold_swaps(
         args.catalyst_dim, args.bh_wh, args.ratio, args.freq_ratio
     )
-    baseline = "," + fmt12(rows[0][2])  # the same at every n
-    lines = ["n,W_catalytic,W_noncatalytic_baseline"]
-    for n, catalytic, _ in rows:
-        lines.append(f"{n},{fmt12(catalytic)}{baseline}")
-    _emit("\n".join(lines) + "\n", args.output)
+    baseline = fmt12(curve[0, 2])  # the same at every n
+    works = curve[:, 1]
+    if not np.isfinite(works).all():  # a failure prints no stdout, so raise before writing
+        fmt12(works[~np.isfinite(works)][0])
+    # "%.12g" is fmt12's format, and adding 0.0 turns -0.0 into the 0 it prints
+    row = "%d,%.12g," + baseline + "\n"
+    body = (
+        (row * len(part)) % tuple((part + 0.0).ravel().tolist())
+        for part in np.split(curve[:, :2], range(_CSV_ROWS, len(curve), _CSV_ROWS))
+    )
+    _emit(itertools.chain(("n,W_catalytic,W_noncatalytic_baseline\n",), body), args.output)
     return 0
 
 
@@ -385,7 +424,9 @@ _NEGATIVE_NUMBER = re.compile(
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as a ConfigError, so it prints one `error:` line,
     and takes any negative float literal (-1e-3, -inf, -nan) as a value, so
-    the range check, not argparse, refuses it."""
+    the range check, not argparse, refuses it.  A help text that cannot be
+    written raises OSError inside `main`, which reports it (exit 2): argparse
+    would drop the write error, or leave it to the interpreter's last flush."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -393,6 +434,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ConfigError(message)
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            (file or sys.stderr).write(message)
+
+    def exit(self, status: int = 0, message: str | None = None):
+        sys.stdout.flush()  # the help just written, while main can still report a failure
+        super().exit(status, message)
 
 
 @functools.cache

@@ -186,6 +186,25 @@ class TestSolveCatalystState:
             near = ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
             assert near.delta_p == limit.delta_p
 
+    def test_one_split_builds_and_checks_its_populations_once(self, monkeypatch, rng):
+        # the populations hold the solve's checked ends bit for bit, so the
+        # one-split path checks them alone, and gives the batched solve's bits
+        checked = []
+        check = catalysis._check_populations
+        monkeypatch.setattr(
+            catalysis, "_check_populations", lambda values: checked.append(values) or check(values)
+        )
+        for i in range(100):
+            shape = ts.SimplePermSpec(int(rng.integers(0, 40)), int(rng.integers(1, 40)))
+            boltz_hot = float(rng.uniform(0.01, 0.99))
+            boltz_cold = float(rng.uniform(0.0, 0.99)) if i % 3 else 0.0
+            checked.clear()
+            state = ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
+            assert len(checked) == 1 and checked[0].shape == (shape.d,)
+            n, pops, transfer = solve_splits(shape.d, [shape.n], boltz_hot, boltz_cold)
+            assert np.array_equal(state.populations, np.clip(pops[0], 0.0, None))
+            assert state.delta_p == transfer[0]
+
     @staticmethod
     def block_chain(shape, boltz_hot, boltz_cold):
         """The d x d chain on the catalyst blocks: block k steps forward with
@@ -268,6 +287,44 @@ class TestFlowBalanceSolver:
                     one = solve_splits(d, [n], boltz_hot, boltz_cold)[1:]
                     for batched, single in zip((pops, transfer), one):
                         assert np.array_equal(batched[k], single[0], equal_nan=True)
+
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_chunks_match_one_pass(self, monkeypatch, rng, direction):
+        # every split is an elementwise function of the shared tables, so
+        # closing them 64 at a time gives the one-pass numbers bit for bit
+        d = 1000
+        for _ in range(5):
+            boltz_hot = float(rng.uniform(0.05, 0.95))
+            boltz_cold = {
+                "backward": boltz_hot * rng.uniform(0.0, 1.0),
+                "forward": boltz_hot + (1.0 - boltz_hot) * rng.uniform(0.0, 1.0),
+            }[direction]
+            n = rng.permutation(d) + 1
+            one = catalysis._solve_flow_balance(d, n, boltz_hot, boltz_cold)
+            with monkeypatch.context() as patch:
+                patch.setattr(catalysis, "_FLOW_CHUNK", 64)
+                chunked = catalysis._solve_flow_balance(d, n, boltz_hot, boltz_cold)
+            assert chunked.backward == one.backward == (direction == "backward")
+            for name in ("p_0", "v", "transfer"):
+                assert np.array_equal(getattr(chunked, name), getattr(one, name))
+            for k in rng.integers(0, d, size=5).tolist():
+                assert np.array_equal(chunked.populations(k), one.populations(k))
+
+    def test_negative_end_in_a_later_chunk_raises(self, monkeypatch):
+        # a tolerance between two splits' smallest populations fails the
+        # second split alone; it is closed in the second chunk
+        d, boltz_hot, boltz_cold = 1000, 0.7, 0.2
+        n = np.arange(1, d + 1)
+        flow = catalysis._solve_flow_balance(d, n, boltz_hot, boltz_cold)
+        lowest = np.array([flow.populations(k).min() for k in range(d)])
+        high, low = int(n[lowest.argmax()]), int(n[lowest.argmin()])
+        monkeypatch.setattr(
+            catalysis, "NEGATIVE_POPULATION_TOL", -(lowest.max() + lowest.min()) / 2.0
+        )
+        monkeypatch.setattr(catalysis, "_FLOW_CHUNK", 4)
+        catalysis._solve_flow_balance(d, [high] * 4, boltz_hot, boltz_cold)
+        with pytest.raises(RuntimeError, match="negative or non-finite catalyst population"):
+            catalysis._solve_flow_balance(d, [high] * 4 + [low], boltz_hot, boltz_cold)
 
     def test_positivity_census(self):
         # every split of random d < 300, with beta_h*omega_h and
@@ -783,6 +840,13 @@ class TestFigWorkVsColdSwaps:
         rows = ts.fig_work_vs_cold_swaps(120, 0.25, 8.0, 0.7)
         assert len(rows) == 120
         assert calls == [120]
+
+    def test_curve_is_a_float_array_with_exact_n(self):
+        for d in (1, 7, 120, 3000):
+            curve = ts.fig_work_vs_cold_swaps(d, 0.25, 8.0, 0.7)
+            assert curve.shape == (d, 3) and curve.dtype == np.float64
+            assert np.array_equal(curve[:, 0], np.arange(1, d + 1))
+            assert (curve[:, 2] == curve[0, 2]).all()
 
     def test_reference_curve_signs(self):
         rows = ts.fig_work_vs_cold_swaps(30, 0.25, 8.0, 0.5)

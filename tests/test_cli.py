@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import errno
+import hashlib
 import json
 import math
 import os
@@ -39,6 +40,19 @@ def fresh_cli(*argv):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     return done.returncode, done.stdout
+
+
+def recorded_emit(monkeypatch):
+    """The pieces of the text given to `_emit`, which still writes them."""
+    pieces = []
+    emit = cli._emit
+
+    def record(text, output):
+        pieces.extend(text)
+        emit(pieces, output)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    return pieces
 
 
 class TestReport:
@@ -595,6 +609,60 @@ class TestFig5:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    @pytest.mark.parametrize(
+        "argv, md5",
+        [
+            ([], "fd37227e766bf806cf30e6631da7f869"),
+            (["--ratio", "0.5", "--freq-ratio", "0.4"], "36c7185f70d4f431ac444918ab5c28ec"),
+        ],
+    )
+    @pytest.mark.parametrize("chunks", ["one", "several"])
+    def test_chunked_csv_keeps_its_bytes(self, capsys, monkeypatch, argv, md5, chunks):
+        # md5 of the CSV at d = 3000 as written before the solve and the CSV
+        # were chunked; several = 12 solve chunks and 3 CSV chunks, one short
+        if chunks == "several":
+            monkeypatch.setattr(catalysis, "_FLOW_CHUNK", 256)
+            monkeypatch.setattr(cli, "_CSV_ROWS", 1100)
+        writes = recorded_emit(monkeypatch)
+        code, out, err = run_cli(capsys, "fig5", "--catalyst-dim", "3000", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == md5
+        assert len(writes) == {"one": 2, "several": 4}[chunks]
+
+    def test_overflowing_work_prints_nothing(self, capsys, monkeypatch):
+        # rows 180 on overflow to -inf; the finite rows before them are not written
+        monkeypatch.setattr(cli, "_CSV_ROWS", 100)
+        code, out, err = run_cli(
+            capsys, "fig5", "--catalyst-dim", "1000", "--ratio", "1e308", "--freq-ratio", "1e306"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: result is not finite (-inf) at these parameters\n"
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads the child's VmHWM"
+    )
+    def test_large_curve_in_bounded_memory(self):
+        """fig5 at d = 2^20 peaks at about 140 MB (VmHWM of the child, see
+        test_large_map_streams_in_bounded_memory), 335 MB when the flow solve
+        closed every split at once and the curve was a list of tuples."""
+        child = (
+            "import re\n"
+            "from twostroke.cli import main\n"
+            "code = main(['fig5', '--catalyst-dim', '1048576', '--output', '/dev/null'])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak_kb = re.search(r'VmHWM:\\s+(\\d+) kB', status.read()).group(1)\n"
+            "print(code, int(peak_kb) / 1024)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+        )
+        code, peak_mb = done.stdout.split()
+        assert (code, done.stderr) == ("0", "")
+        assert float(peak_mb) < 210
+
 
 class TestFlowSolveExits:
     REPORT = ["report", "--beta-h", "6", "--beta-c", "7", "--omega-h", "2", "--omega-c", "3"]
@@ -1064,6 +1132,35 @@ class TestJsonText:
         else:
             assert written == expected
 
+    @settings(max_examples=200)
+    @given(payload=payloads(SCALARS | st.sampled_from([math.inf, -math.inf, math.nan])))
+    def test_pieces_join_to_the_same_text(self, payload):
+        # two items a piece, so most lists here are written in pieces
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_JSON_ITEMS", 2)
+            try:
+                pieces = "".join(cli._json_pieces(payload))
+            except ConfigError as exc:
+                pieces = exc
+        expected = written_json(payload)
+        if isinstance(expected, ConfigError):
+            assert str(pieces) == str(expected)
+        else:
+            assert pieces == expected
+
+    def test_long_population_list_written_in_pieces(self, capsys, monkeypatch):
+        # 9999 populations are 3 pieces of at most 4096; the md5 is of the
+        # output written as one text, before the pieces
+        writes = recorded_emit(monkeypatch)
+        code, out, err = run_cli(
+            capsys, "report", "--beta-h", "6", "--beta-c", "7", "--omega-h", "2",
+            "--omega-c", "3", "--simple", "9999,1",
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.md5(out.encode()).hexdigest() == "4374a3f53f7574ebabc26082302004c9"
+        longest = max(len(piece) for piece in writes)
+        assert 4096 * 20 < longest < 4096 * 30 and len(writes) > 3
+
     def test_error_names_the_first_non_finite_float(self):
         payload = {"a": [1.0, {"b": -math.inf}], "c": math.nan}
         with pytest.raises(ConfigError, match=r"not finite \(-inf\)"):
@@ -1148,25 +1245,40 @@ class TestUnwritableStdout:
     """A stdout that refuses writes exits 2 with one `error:` line, as an
     unwritable --output does."""
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("unbuffered", [True, False])
-    def test_full_device(self, unbuffered):
+    @staticmethod
+    def to_full_device(argv, unbuffered):
+        """The CLI in a new interpreter with stdout on /dev/full."""
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        argv = ["table24", "--beta-h", "1", "--beta-c", "2", "--omega-h", "1", "--omega-c", "0.5"]
         with open("/dev/full", "w") as full:
-            done = subprocess.run(
+            return subprocess.run(
                 [sys.executable, "-m", "twostroke.cli", *argv],
                 stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
             )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_full_device(self, unbuffered):
+        argv = ["table24", "--beta-h", "1", "--beta-c", "2", "--omega-h", "1", "--omega-c", "0.5"]
+        done = self.to_full_device(argv, unbuffered)
         assert done.returncode == 2
         assert done.stderr.splitlines() == [
             f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
         ]
         assert "Traceback" not in done.stderr
         assert "Exception ignored" not in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_help_to_full_device(self, unbuffered):
+        # argparse drops the failed write of -h, or leaves it to the last flush
+        done = self.to_full_device(["table24", "-h"], unbuffered)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}"
+        ]
 
 
 def readme_commands():
