@@ -34,6 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegeneratePointError,
     GuardExceededError,
     NoEngineRegimeError,
@@ -364,10 +365,22 @@ def _heats(d, n, omega_h: float, omega_c: float, delta_p):
     return d * omega_h * delta_p, -n * omega_c * delta_p
 
 
+def _check_finite(values) -> None:
+    """Refuse a non-finite result, naming the first, with ConfigError (exit 2):
+    it cannot be written, so the parameters are out of range."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise ConfigError(f"result is not finite ({bad:.12g}) at these parameters")
+
+
 def _perm_report(shape: SimplePermSpec, omega_h, omega_c, delta_p: float) -> CycleReport:
     efficiency = _rational_efficiency(shape, omega_h, omega_c) if delta_p != 0.0 else None
     heats = _heats(shape.d, shape.n, omega_h, omega_c, delta_p)
-    return CycleReport.from_heats(*heats, efficiency=efficiency)
+    report = CycleReport.from_heats(*heats, efficiency=efficiency)
+    # the heats have opposite signs, so the work is finite exactly when both are
+    _check_finite(report.work)
+    return report
 
 
 def simple_perm_report(
@@ -382,7 +395,8 @@ def simple_perm_report(
     is evaluated in exact rational arithmetic as 1 - n*omega_c/(d*omega_h)
     before conversion to float, so rational inputs give exact outputs; it is
     reported whenever the block transfer is nonzero, even at deep-cold
-    parameters where the heats themselves are astronomically small.
+    parameters where the heats themselves are astronomically small.  Heats
+    or work that overflow raise ConfigError.
     """
     omega_h, omega_c = float(omega_h), float(omega_c)
     catalyst = solve_catalyst_state(shape, *_qubit_boltzmann(omega_h, omega_c, beta))
@@ -399,7 +413,8 @@ def sweep_simple_perms(
     from one flow solve over all splits; each split's populations are built
     in turn and clipped as in `solve_catalyst_state`.  More than
     MAX_FLOW_ENTRIES populations, d**2, raise GuardExceededError (exit 4)
-    before the solve.
+    before the solve; overflowing heats raise ConfigError as in
+    `simple_perm_report`.
     """
     d = int(catalyst_dim)
     if d < 1:
@@ -600,7 +615,8 @@ def fig_work_vs_cold_swaps(
     Returns a (d, 3) float64 array of rows (n, catalytic work, non-catalytic
     baseline), n = 1..d exactly, from one flow solve over all splits; the
     baseline is the ergotropy of the two bath qubits, on the energies
-    (0, omega_c, omega_h, omega_h + omega_c) of their flat levels.
+    (0, omega_c, omega_h, omega_h + omega_c) of their flat levels.  A work
+    that overflows raises ConfigError, after numpy's overflow warning.
     """
     d = int(catalyst_dim)
     if d < 1:
@@ -632,5 +648,6 @@ def fig_work_vs_cold_swaps(
     curve[:, 0] = n
     heat_hot, heat_cold = _heats(d, n, omega_h, omega_c, transfer)
     np.add(heat_hot, heat_cold, out=curve[:, 1])
+    _check_finite(curve[:, 1])
     curve[:, 2] = baseline
     return curve

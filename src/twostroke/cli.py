@@ -354,10 +354,7 @@ def cmd_fig5(args) -> int:
     curve = catalysis.fig_work_vs_cold_swaps(
         args.catalyst_dim, args.bh_wh, args.ratio, args.freq_ratio
     )
-    baseline = fmt12(curve[0, 2])  # the same at every n
-    works = curve[:, 1]
-    if not np.isfinite(works).all():  # a failure prints no stdout, so raise before writing
-        fmt12(works[~np.isfinite(works)][0])
+    baseline = fmt12(curve[0, 2])  # the same at every n; the works are finite
     # "%.12g" is fmt12's format, and adding 0.0 turns -0.0 into the 0 it prints
     row = "%d,%.12g," + baseline + "\n"
     body = (

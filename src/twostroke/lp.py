@@ -13,7 +13,9 @@ pricing over all n! permutations is one sort.  `build_work_bound_problem`
 assembles the master's columns each round; given all n! images it is the
 test reference.  The first master, the identity column alone, is solved in
 closed form (its one feasible point is the identity); every later master
-goes to `simplex.simplex_solve`.  The value bounds the work of any single
+goes to `simplex.simplex_solve`.  The pricing step that ends the loop runs
+at the final duals, so its reduced cost is the dual certificate's, the one
+`lp_dual_check` recomputes.  The value bounds the work of any single
 catalyst-preserving permutation from above, and relaxes the harder question
 of which bistochastic matrices arise from actual unitaries.
 """
@@ -190,7 +192,8 @@ def lp_work_upper_bound(
         float(result.dual[0]), tuple(float(v) for v in result.dual[1:]),
         hamiltonian, initial,
     )
-    residuals["dual_max_violation"] = lp_dual_check(solution)
+    # the pricing that ended the loop ran at these duals: it is the check's own
+    residuals["dual_max_violation"] = _certificate_violation(solution, target, reduced)
     return solution
 
 
@@ -203,8 +206,12 @@ def lp_dual_check(solution: LPSolution) -> float:
     primal value.
     """
     target = solution.initial.catalyst_marginal()
-    x = np.asarray(solution.dual_x)
     best = _pricing(solution.hamiltonian.energies(), solution.initial.probs, target.size)
-    _, reduced = best(solution.dual_y, x)
-    gap = abs(solution.dual_y + float(target[:-1] @ x) - solution.value)
+    _, reduced = best(solution.dual_y, np.asarray(solution.dual_x))
+    return _certificate_violation(solution, target, reduced)
+
+
+def _certificate_violation(solution: LPSolution, target: np.ndarray, reduced: float) -> float:
+    """max(reduced cost, 0, duality gap), given the largest reduced cost."""
+    gap = abs(solution.dual_y + float(target[:-1] @ np.asarray(solution.dual_x)) - solution.value)
     return max(reduced, 0.0, gap)

@@ -11,7 +11,9 @@ minimum-ratio rows the one whose basic variable has the smallest index
 leaves), which rules out cycling on the heavily degenerate programs this
 package produces.  The basis inverse is not maintained incrementally; each
 iteration re-solves against the current basis, which is cheap at the row
-counts used here (a handful of constraints, many columns).
+counts used here (a handful of constraints, many columns).  The one
+exception is phase one's first pass: its basis is the artificial identity,
+so its multipliers, basic solution and direction are known without a solve.
 """
 
 from __future__ import annotations
@@ -56,23 +58,35 @@ def _iterate(
         base = columns[:, basis]
         multipliers = np.linalg.solve(base.T, objective[basis])
         current = np.linalg.solve(base, rhs)
-        reduced = objective - multipliers @ columns
-        reduced[basis] = 0.0
-        eligible = (reduced > PIVOT_TOL).nonzero()[0]
-        if eligible.size == 0:
+        entering = _entering(columns, objective, basis, multipliers)
+        if entering is None:
             return basis, iterations, multipliers, current
-        entering = int(eligible[0])
         direction = np.linalg.solve(base, columns[:, entering])
-        current = np.maximum(current, 0.0)
-        movable = (direction > PIVOT_TOL).nonzero()[0]
-        if movable.size == 0:
-            raise RuntimeError(f"{phase} reported unbounded; this is a bug")
-        ratios = current[movable] / direction[movable]
-        best = ratios.min()
-        ties = movable[ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best))]
-        leaving_row = min(ties.tolist(), key=basis.__getitem__)
-        basis[leaving_row] = entering
+        _pivot(basis, current, direction, entering, phase)
         iterations += 1
+
+
+def _entering(columns, objective, basis, multipliers) -> int | None:
+    """Bland's entering column: the smallest index of positive reduced cost,
+    or None at the optimum."""
+    reduced = objective - multipliers @ columns
+    reduced[basis] = 0.0
+    eligible = (reduced > PIVOT_TOL).nonzero()[0]
+    return int(eligible[0]) if eligible.size else None
+
+
+def _pivot(basis, current, direction, entering, phase) -> None:
+    """Ratio test: `entering` replaces, in place, the basic variable of the
+    minimum-ratio row, the one of smallest index among ties."""
+    current = np.maximum(current, 0.0)
+    movable = (direction > PIVOT_TOL).nonzero()[0]
+    if movable.size == 0:
+        raise RuntimeError(f"{phase} reported unbounded; this is a bug")
+    ratios = current[movable] / direction[movable]
+    best = ratios.min()
+    ties = movable[ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best))]
+    leaving_row = min(ties.tolist(), key=basis.__getitem__)
+    basis[leaving_row] = entering
 
 
 def simplex_solve(objective, constraints, rhs, basis=None) -> SimplexResult:
@@ -112,8 +126,15 @@ def _two_phase(columns, rhs, objective, basis) -> SimplexResult:
         phase_columns = np.hstack([columns, np.eye(n_rows)])
         phase_objective = np.concatenate([np.zeros(n_cols), -np.ones(n_rows)])
         basis = list(range(n_cols, n_cols + n_rows))
+        # The first pass needs no solve: against the identity basis the
+        # multipliers are -1, the basic solution is rhs and the direction is
+        # the entering column, the bits np.linalg.solve returns for them.
+        entering = _entering(phase_columns, phase_objective, basis, -np.ones(n_rows))
+        if entering is not None:
+            _pivot(basis, rhs, phase_columns[:, entering], entering, "phase one")
+            iterations = 1
         basis, iterations, _, current = _iterate(
-            phase_columns, rhs, phase_objective, basis, 0, "phase one"
+            phase_columns, rhs, phase_objective, basis, iterations, "phase one"
         )
         artificial_level = float(phase_objective[basis] @ current)
         if artificial_level < -PIVOT_TOL:

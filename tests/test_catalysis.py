@@ -469,6 +469,16 @@ class TestSimplePermReport:
         assert report.work > 0.0
         assert catalyst.populations.min() >= 0.0
 
+    def test_overflowing_work_raises_config_error(self):
+        beta = ts.InverseTemperaturePair(0.25, 25.0)
+        for report in (
+            lambda: ts.simple_perm_report(ts.SimplePermSpec(800, 200), 1.0, 1e306, beta),
+            lambda: ts.sweep_simple_perms(1000, 1.0, 1e306, beta),
+        ):
+            with pytest.raises(ts.ConfigError) as info:
+                report()
+            assert str(info.value) == "result is not finite (-inf) at these parameters"
+
     def test_two_block_efficiency(self):
         beta = ts.InverseTemperaturePair(1.0, 5.0)
         report, _ = ts.simple_perm_report(ts.SimplePermSpec(1, 1), 1.0, 0.6, beta)
@@ -847,6 +857,13 @@ class TestFigWorkVsColdSwaps:
             assert curve.shape == (d, 3) and curve.dtype == np.float64
             assert np.array_equal(curve[:, 0], np.arange(1, d + 1))
             assert (curve[:, 2] == curve[0, 2]).all()
+
+    def test_overflowing_work_raises_config_error(self):
+        # the cold heat -n*omega_c*transfer leaves the float range from n = 180
+        # on; the overflow is refused, not returned as -inf behind numpy's warning
+        with np.errstate(over="ignore"), pytest.raises(ts.ConfigError) as info:
+            ts.fig_work_vs_cold_swaps(1000, 0.25, 1e308, 1e306)
+        assert str(info.value) == "result is not finite (-inf) at these parameters"
 
     def test_reference_curve_signs(self):
         rows = ts.fig_work_vs_cold_swaps(30, 0.25, 8.0, 0.5)

@@ -188,6 +188,9 @@ class TestConfigValidation:
             # the rational efficiency 1 - n*omega_c/(d*omega_h) is below -1.8e308
             ["report", "--beta-h", "0.3", "--beta-c", "1e300",
              "--omega-h", "0.3", "--omega-c", "1e308", "--simple", "4,5"],
+            # the cold heat -n*omega_c*transfer overflows to -inf
+            ["report", "--beta-h", "0.25", "--beta-c", "25",
+             "--omega-h", "1", "--omega-c", "1e306", "--simple", "800,200"],
         ],
     )
     def test_non_finite_result_exits_cleanly(self, capsys, argv):

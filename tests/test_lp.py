@@ -142,6 +142,22 @@ class TestCatalyticBound:
             solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
             assert ts.lp_dual_check(solution) <= 1e-8
 
+    def test_certificate_is_the_last_pricing(self, rng):
+        # the loop's last pricing runs at the final duals, so the residual it
+        # gives is lp_dual_check's to the bit
+        beta = ts.InverseTemperaturePair(1.0, 3.0)
+        bodies = [
+            (*qubit_body([0.7, 0.3], 0.5, beta), 2),  # the bodies of the LP goldens
+            (*qubit_body([0.4, 0.3, 0.2, 0.1], 0.5, beta), 4),
+        ]
+        for d_s in range(1, 9):
+            for _ in range(3):
+                bodies.append(random_instance(rng, (d_s, 2, 2))[:3])
+        for hamiltonian, initial, d_s in bodies:
+            solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
+            violation = solution.residuals["dual_max_violation"]
+            assert repr(violation) == repr(ts.lp_dual_check(solution))
+
     def test_monotone_in_catalyst_dimension(self, rng):
         # embedding a d-block catalyst into d+1 blocks (new block empty)
         # preserves feasibility, so the bound cannot drop

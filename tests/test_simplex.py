@@ -183,3 +183,135 @@ class TestFinalSolves:
         assert len(with_basis) >= 60
         for objective, constraints, rhs, result in with_basis:
             self.assert_as_solved_again(objective, constraints, rhs, result)
+
+
+class TestFirstPhaseOnePivot:
+    """Phase one takes its first pivot from the artificial identity basis
+    without a solve; the reference starts `_iterate` at that basis, as every
+    cold start once did, and must give the same bits."""
+
+    @staticmethod
+    def from_artificials(monkeypatch, objective, constraints, rhs):
+        iterate = simplex._iterate
+
+        def old_start(columns, rhs, objective, basis, iterations, phase):
+            if phase == "phase one":
+                n_cols = columns.shape[1]
+                basis, iterations = list(range(n_cols - rhs.size, n_cols)), 0
+            return iterate(columns, rhs, objective, basis, iterations, phase)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex, "_iterate", old_start)
+            return simplex.simplex_solve(objective, constraints, rhs)
+
+    @staticmethod
+    def outcome(solve):
+        """The result's bits, or the message of the RuntimeError it raised."""
+        try:
+            result = solve()
+        except RuntimeError as exc:
+            return str(exc)
+        return (
+            repr(result.value), result.x.tobytes(), result.dual.tobytes(),
+            result.basis, result.iterations,
+        )
+
+    @classmethod
+    def assert_same_solve(cls, monkeypatch, objective, constraints, rhs):
+        """Both starts give the same bits or the same error; returns the
+        iteration count that phase one's `_iterate` starts from."""
+        reference = cls.outcome(
+            lambda: cls.from_artificials(monkeypatch, objective, constraints, rhs)
+        )
+        starts = []
+        iterate = simplex._iterate
+
+        def recording(columns, rhs, objective, basis, iterations, phase):
+            if phase == "phase one":
+                starts.append(iterations)
+            return iterate(columns, rhs, objective, basis, iterations, phase)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex, "_iterate", recording)
+            solved = cls.outcome(lambda: simplex.simplex_solve(objective, constraints, rhs))
+        assert solved == reference
+        return starts[0]
+
+    @staticmethod
+    def work_bound_masters(monkeypatch, rng):
+        """Every third master the column generation solves for each of two
+        bodies with each d_s = 1..8, a third of them with a zero catalyst
+        population."""
+        masters, kept = [], []
+        simplex_solve = simplex.simplex_solve
+
+        def recording(objective, constraints, rhs, basis=None):
+            masters.append((objective, constraints, rhs))
+            return simplex_solve(objective, constraints, rhs, basis=basis)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(simplex, "simplex_solve", recording)
+            for body in range(16):
+                d_s = 1 + body % 8
+                catalyst = rng.dirichlet(np.ones(d_s))
+                if d_s > 1 and body % 3 == 0:
+                    catalyst[rng.integers(d_s)] = 0.0
+                    catalyst = catalyst / catalyst.sum()
+                hot = ts.Spectrum.qubit(float(rng.uniform(0.3, 3.0)))
+                cold = ts.Spectrum.qubit(float(rng.uniform(0.2, 3.0)))
+                beta_h = float(rng.uniform(0.3, 2.0))
+                initial = ts.product_state(
+                    catalyst,
+                    ts.gibbs_populations(hot, beta_h),
+                    ts.gibbs_populations(cold, beta_h * float(rng.uniform(1.1, 6.0))),
+                )
+                hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(d_s), hot, cold)
+                lp.lp_work_upper_bound(hamiltonian, initial, d_s)
+                kept += masters[::3]
+                masters.clear()
+        return kept
+
+    def test_work_bound_masters(self, monkeypatch, rng):
+        # each master solved cold, including those the loop warm-started
+        masters = self.work_bound_masters(monkeypatch, rng)
+        assert {c.shape[0] for _, c, _ in masters} == set(range(1, 9))
+        starts = [self.assert_same_solve(monkeypatch, *master) for master in masters]
+        assert len(starts) >= 100 and set(starts) == {1}
+
+    def test_forged_masters_whose_first_column_is_not_rhs(self, monkeypatch, rng):
+        # a master's column 0 is the identity's, equal to its rhs; reversed
+        # columns enter and leave elsewhere
+        masters = self.work_bound_masters(monkeypatch, rng)
+        forged = [
+            (o[::-1], c[:, ::-1], r) for o, c, r in masters if not np.array_equal(c[:, -1], r)
+        ]
+        assert len(forged) >= 50
+        for master in forged:
+            assert self.assert_same_solve(monkeypatch, *master) == 1
+
+    def test_infeasible_master_leaves_at_row_one(self, monkeypatch):
+        # every column's catalyst mass sits in block 0: the first pivot
+        # leaves at the catalyst row (ratio 0.3 < 1) and phase one ends infeasible
+        constraints = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+        rhs = np.array([1.0, 0.3])
+        basis = [3, 4]
+        simplex._pivot(basis, rhs, constraints[:, 0], 0, "phase one")
+        assert basis == [3, 0]
+        objective = np.array([0.0, 0.5, 0.2])
+        self.assert_same_solve(monkeypatch, objective, constraints, rhs)
+        with pytest.raises(RuntimeError, match="phase one found the program infeasible"):
+            simplex.simplex_solve(objective, constraints, rhs)
+
+    def test_random_programs(self, monkeypatch, rng):
+        for _ in range(40):
+            rows = int(rng.integers(1, 5))
+            a = rng.uniform(-0.2, 1.0, size=(rows, int(rng.integers(rows + 1, 12))))
+            b = np.abs(a @ rng.dirichlet(np.ones(a.shape[1])))
+            self.assert_same_solve(monkeypatch, rng.normal(size=a.shape[1]), a, b)
+
+    def test_no_positive_reduced_cost_at_the_start(self, monkeypatch):
+        # every column sums to at most 0, so the artificial basis is optimal
+        # before any pivot; with rhs 0 the program is feasible at x = 0
+        constraints = np.array([[1.0, -2.0], [-1.0, 1.0]])
+        start = self.assert_same_solve(monkeypatch, np.array([1.0, 1.0]), constraints, np.zeros(2))
+        assert start == 0

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import twostroke as ts
+from twostroke import thermo
 from twostroke.coherence import random_unitary
 from twostroke.permutations import images_array
 from twostroke.thermo import ACCELERATOR, COOLER, DEGENERATE, ENGINE, _kron
@@ -193,6 +194,47 @@ class TestPopulationVector:
     def test_tiny_negative_clipped(self):
         state = ts.PopulationVector(np.array([1.0, 1e-14, -1e-14]), (1, 3, 1))
         assert state.probs.min() == 0.0
+
+
+class TestProbabilityValidator:
+    """`_as_probability_vector` checks entries, then the minimum, then the sum."""
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([np.nan, 1.0], "p has a non-finite entry"),
+            ([np.inf, -np.inf], "p has a non-finite entry"),
+            ([np.inf, 0.5, -np.inf, np.nan], "p has a non-finite entry"),
+            ([1.0, np.inf], "p has a non-finite entry"),
+            ([2.0, -np.inf], "p has a non-finite entry"),
+            # finite entries whose sum overflows
+            ([1e308, 1e308], "p must sum to 1 (got inf)"),
+            # the negative entry is named before the overflowing sum
+            ([1e308, -1e-3, 1e308], "p has a negative entry (-1.000e-03)"),
+            ([0.7, -0.1, 0.4], "p has a negative entry (-1.000e-01)"),
+            ([0.5, 0.25], "p must sum to 1 (got 0.75)"),
+        ],
+    )
+    def test_messages_in_order(self, values, message):
+        # as the CLI calls it: a sum that overflows or meets inf - inf is not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as info:
+                thermo._as_probability_vector(values, "p")
+        assert str(info.value) == message
+
+    def test_output_is_the_clip_at_zero(self, rng):
+        cases = [
+            np.array([0.5, -0.0, 0.5]),
+            np.array([1.0, 1e-14, -1e-14]),
+            np.array([-1e-13, 0.25, 0.75 + 1e-13, -0.0, 0.0]),
+            np.array([1.0]),
+        ]
+        for _ in range(50):
+            p = signed_zeros(rng.dirichlet(np.ones(int(rng.integers(1, 17)))), rng)
+            p[rng.random(p.size) < 0.2] *= -1e-12
+            cases.append(p / p.sum() if p.sum() > 0.0 else np.array([1.0]))
+        for p in cases:
+            assert_same_bits(thermo._as_probability_vector(p, "p"), np.clip(p, 0.0, None))
 
 
 class TestClassifyModes:
