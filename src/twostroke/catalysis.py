@@ -555,8 +555,9 @@ def regime_map(
 ) -> RegimeMap:
     """Feasibility grid over the bath-temperature and level-spacing ratios.
 
-    Every grid point carries one flag per region: 'carnot' marks where any
-    engine at all can run (beta_c*omega_c > beta_h*omega_h), 'otto' where the
+    Every grid point carries one flag per region: 'carnot' marks
+    beta_c*omega_c > beta_h*omega_h (catalytic engines also run at some
+    points where it is 0), 'otto' where the
     bare hot-cold swap runs without a catalyst, and one 'catalytic' flag per
     requested d/n where the simple permutation realising that ratio (in
     lowest terms) produces positive work with a valid catalyst.  That is the

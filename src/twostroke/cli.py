@@ -322,7 +322,8 @@ def cmd_regime_map(args) -> int:
         "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)\n"
         "# normalisation: beta_h = 1 and omega_h = 1 at every grid point\n"
         "# catalytic rows realise d/n in lowest terms\n"
-        "# feasible: carnot = any engine possible; otto = bare hot-cold swap runs;"
+        "# feasible: carnot = beta_c*omega_c > beta_h*omega_h (beta_ratio*freq_ratio > 1);"
+        " otto = bare hot-cold swap runs;"
         " catalytic = the d/n simple permutation runs with a valid catalyst\n"
         "beta_ratio,freq_ratio,d_over_n,feasible,region_label\n"
     )

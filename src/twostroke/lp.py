@@ -3,21 +3,43 @@
 A bistochastic stroke is a convex mixture of permutations (Birkhoff--von
 Neumann), and work and catalyst block sums are linear in the mixture, so the
 best catalyst-preserving bistochastic stroke is a linear program over the
-weights of the n! permutations.  It is solved by column generation
-(Dantzig--Wolfe): a master program over the permutations found so far, with
-a convexity row and the first d_s - 1 block sums, and a pricing step that
-finds the permutation of largest reduced cost against the master's duals.
-By the rearrangement inequality that permutation sends the largest
-population to the smallest energy shifted by its block's multiplier, so
-pricing over all n! permutations is one sort.  `build_work_bound_problem`
-assembles the master's columns each round; given all n! images it is the
-test reference.  The first master, the identity column alone, is solved in
-closed form (its one feasible point is the identity); every later master
-goes to `simplex.simplex_solve`.  The pricing step that ends the loop runs
-at the final duals, so its reduced cost is the dual certificate's, the one
-`lp_dual_check` recomputes.  The value bounds the work of any single
-catalyst-preserving permutation from above, and relaxes the harder question
-of which bistochastic matrices arise from actual unitaries.
+weights of the n! permutations: a convexity row and the first d_s - 1 block
+sums t_k.  Its dual prices a permutation by its reduced cost
+w - y - x . a against the multipliers (y, x).  The permutation of largest
+reduced cost sends the largest population to the smallest energy shifted by
+its block's multiplier (rearrangement inequality), so pricing over all n!
+permutations is one sort, `_pricing`.  `build_work_bound_problem` assembles
+the work and block sums of given permutations; given all n! images it is the
+test reference.
+
+Which path serves which d_s:
+- d_s = 1 has no block row.  The sorted permutation is the ergotropy
+  stroke, optimal alone, and y is its work.
+- d_s = 2 has one block row, so the bound is the Lagrangian dual in one
+  multiplier x: D(x) = t_0 x + max_pi (w_pi - x a_pi), convex and piecewise
+  linear, with its kinks at E_j - E_i for a block-0 level i and a block-1
+  level j.  Between kinks the sorted permutation is fixed, and the slope of
+  D is t_0 - a_0, with a_0 the block-0 mass that permutation leaves.  A
+  bisection over the sorted kinks, one sort a step, finds the first
+  interval with a_0 <= t_0.  Its left kink x* minimises D.  The sorted
+  permutations either side of x* are both optimal there; mixed to keep t_0
+  (or the right one alone, when it keeps t_0 itself), they are the primal
+  optimum.  When one permutation keeps t_0, D is flat on its interval, so
+  the dual optimum is that whole interval; the reported x* is its left kink,
+  or the first kink when it is the leftmost interval.
+- d_s >= 3 goes to column generation (Dantzig--Wolfe): a master over the
+  permutations found so far, each later master solved by
+  `simplex.simplex_solve`, and a pricing step that adds the permutation of
+  largest reduced cost against the master's duals.  The first master, the
+  identity column alone, is solved in closed form (its one feasible point is
+  the identity).  `_column_generation` serves every d_s, and the tests use
+  it as the reference at d_s <= 2.
+
+On both paths the last pricing runs at the reported duals, so its reduced
+cost is the dual certificate's, the one `lp_dual_check` recomputes.  The
+value bounds the work of any single catalyst-preserving permutation from
+above, and relaxes the harder question of which bistochastic matrices arise
+from actual unitaries.
 """
 
 from __future__ import annotations
@@ -37,7 +59,7 @@ MAX_DIMENSION = 32
 @dataclass(frozen=True, eq=False)
 class WorkBoundProblem:
     """Columns of the work-bound program, one per permutation, as
-    `build_work_bound_problem` assembles them for each master round."""
+    `build_work_bound_problem` assembles them."""
 
     work: np.ndarray        # (M,) work of each permutation
     marginals: np.ndarray   # (M, d_s) catalyst block sums after the stroke
@@ -87,7 +109,8 @@ def build_work_bound_problem(
     """Work and catalyst block sums of the permutations in `images`, one
     column per row, in their order.
 
-    `lp_work_upper_bound` assembles the master's columns with it each round.
+    Column generation assembles each master's columns with it, and the
+    parametric sort its one or two permutations.
     """
     energies = hamiltonian.energies()
     probs = initial.probs
@@ -147,8 +170,10 @@ def lp_work_upper_bound(
     """Best work over catalyst-preserving bistochastic strokes.
 
     Exact for working bodies of dimension up to MAX_DIMENSION; larger bodies
-    raise GuardExceededError.  `alphas` are the positive weights of the
-    optimal master vertex, at most `catalyst_dim` permutations.
+    raise GuardExceededError.  `alphas` are the positive weights of an
+    optimal mixture, at most `catalyst_dim` permutations.  A catalyst of one
+    or two blocks is solved by the parametric sort, a larger one by column
+    generation.
     """
     catalyst_dim = int(catalyst_dim)
     if catalyst_dim != initial.basis_shape[0]:
@@ -158,8 +183,73 @@ def lp_work_upper_bound(
         )
     if hamiltonian.dimension != initial.dimension:
         raise ValueError("spectrum does not match the state dimension")
+    check_dimension(initial.dimension)
+    if catalyst_dim <= 2:
+        return _parametric_sort(hamiltonian, initial, catalyst_dim)
+    return _column_generation(hamiltonian, initial, catalyst_dim)
+
+
+def _parametric_sort(
+    hamiltonian: Spectrum, initial: PopulationVector, catalyst_dim: int
+) -> LPSolution:
+    """The bound at one or two catalyst blocks from pricing sorts alone, as
+    the module docstring sets out.  y* is the largest reduced cost at
+    (0, x*), so the reduced cost against (y*, x*) is 0 to the bit, as
+    `lp_dual_check` recomputes it."""
+    energies, probs = hamiltonian.energies(), initial.probs
+    best = _pricing(energies, probs, catalyst_dim)
+    if catalyst_dim == 1:
+        x = np.empty(0)
+        image, y = best(0.0, x)
+        images, weights = image[None], np.ones(1)
+    else:
+        half = probs.size // 2
+        target = initial.catalyst_marginal()[0]
+        kinks = np.unique(energies[half:] - energies[:half, None])
+        middle = kinks[:-1] / 2 + kinks[1:] / 2  # no sum that could overflow
+        order, in_block_1 = np.argsort(-probs, kind="stable"), np.arange(probs.size) >= half
+        sorted_at = {}  # interval r, between kinks r - 1 and r -> its sorted image and a_0
+
+        def sort_in(r: int) -> tuple[np.ndarray, float]:
+            if r not in sorted_at:
+                if 0 < r < kinks.size:
+                    image = best(0.0, middle[r - 1 : r])[0]
+                else:
+                    # the outer two in their limit order, block 0 below block 1
+                    # as x -> -inf and above it as x -> +inf, with no E + x
+                    image = np.empty(probs.size, dtype=int)
+                    image[order] = np.lexsort((energies, in_block_1 if r == 0 else ~in_block_1))
+                sorted_at[r] = image, float(probs @ (image < half))
+            return sorted_at[r]
+
+        low, high = 0, kinks.size  # the first interval with a_0 <= t_0
+        while low < high:
+            mid = (low + high) // 2
+            if sort_in(mid)[1] <= target:
+                high = mid
+            else:
+                low = mid + 1
+        right, right_mass = sort_in(low)
+        x = kinks[max(low - 1, 0)][None]
+        if low == 0 or right_mass >= target:
+            images, weights = right[None], np.ones(1)
+        else:
+            # the bisection's own masses, a_0 > t_0 > a_0', put the share in (0, 1)
+            left, left_mass = sorted_at[low - 1]
+            share = (target - right_mass) / (left_mass - right_mass)
+            images, weights = np.stack([left, right]), np.array([share, 1.0 - share])
+        y = best(0.0, x)[1]
+    problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, images)
+    return _solution(problem, images, weights, float(weights @ problem.work), (y, *x), 0.0,
+                     hamiltonian, initial)
+
+
+def _column_generation(
+    hamiltonian: Spectrum, initial: PopulationVector, catalyst_dim: int
+) -> LPSolution:
+    """The bound by column generation, for any number of catalyst blocks;
+    `lp_work_upper_bound` runs it from three blocks on."""
     n = initial.dimension
-    check_dimension(n)
     best = _pricing(hamiltonian.energies(), initial.probs, catalyst_dim)
     target = initial.catalyst_marginal()
     rhs = np.concatenate([[1.0], target[:-1]])
@@ -181,19 +271,26 @@ def lp_work_upper_bound(
         columns = np.vstack([np.ones(len(images)), problem.marginals[:, :-1].T])
         # appending a column keeps the basis primal feasible
         result = simplex.simplex_solve(problem.work, columns, rhs, basis=result.basis)
-    used = np.flatnonzero(result.x > 0.0)
-    alphas = {PermutationMap(stack[k]): float(result.x[k]) for k in used}
+    # the pricing that ended the loop ran at these duals: it is the check's own
+    return _solution(problem, stack, result.x, result.value, result.dual, reduced,
+                     hamiltonian, initial)
+
+
+def _solution(problem, images, weights, value, dual, reduced, hamiltonian, initial) -> LPSolution:
+    """The LPSolution of permutation weights over `images`, the rows of
+    `problem`, with duals (y, *x) and the largest reduced cost against them."""
+    used = np.flatnonzero(weights > 0.0)
+    alphas = {PermutationMap(images[k]): float(weights[k]) for k in used}
     residuals = {
-        "primal_marginal_max": float(np.abs(result.x @ problem.marginals - target).max()),
+        "primal_marginal_max": float(np.abs(weights @ problem.marginals - problem.target).max()),
         "weight_sum_error": float(abs(sum(alphas.values()) - 1.0)),
     }
     solution = LPSolution(
-        result.value, alphas, "optimal", residuals,
-        float(result.dual[0]), tuple(float(v) for v in result.dual[1:]),
+        value, alphas, "optimal", residuals,
+        float(dual[0]), tuple(float(v) for v in dual[1:]),
         hamiltonian, initial,
     )
-    # the pricing that ended the loop ran at these duals: it is the check's own
-    residuals["dual_max_violation"] = _certificate_violation(solution, target, reduced)
+    residuals["dual_max_violation"] = _certificate_violation(solution, problem.target, reduced)
     return solution
 
 

@@ -88,9 +88,16 @@ def _as_probability_vector(values, name: str) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise ValueError(f"{name} must be a one-dimensional probability vector")
-    total = p.sum()
-    # a finite sum has finite entries; finite entries can still overflow it
-    if not np.isfinite(total) and not np.isfinite(p).all():
+    # fsum, unlike numpy's sum, never warns: it raises where the sum meets
+    # inf - inf and where finite entries overflow it
+    try:
+        total = math.fsum(p.tolist())
+    except ValueError:
+        total = math.nan
+    except OverflowError:
+        total = math.inf
+    # a finite sum has finite entries
+    if not math.isfinite(total) and not np.isfinite(p).all():
         raise ValueError(f"{name} has a non-finite entry")
     low = p.min()
     if low < -CONSERVATION_TOL:

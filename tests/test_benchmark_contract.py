@@ -51,16 +51,16 @@ def test_lp_counters_read_the_column_generation():
     beta = ts.InverseTemperaturePair(0.5, 4.0)
     hot, cold = ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.8)
     initial = ts.product_state(
-        [0.7, 0.3],
+        [0.5, 0.3, 0.2],
         ts.gibbs_populations(hot, beta.beta_h),
         ts.gibbs_populations(cold, beta.beta_c),
     )
-    hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(2), hot, cold)
+    hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(3), hot, cold)
     tracer = tracer_module.Tracer()
     tracer.install(mods)
     try:
         tracer.begin_job(0)
-        mods.lp.lp_work_upper_bound(hamiltonian, initial, 2)
+        mods.lp.lp_work_upper_bound(hamiltonian, initial, 3)
     finally:
         tracer.end_job()
         tracer.uninstall()

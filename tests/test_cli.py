@@ -442,7 +442,8 @@ class TestRegimeMap:
             "# regime map over beta_c/beta_h (beta_ratio) and omega_c/omega_h (freq_ratio)",
             "# normalisation: beta_h = 1 and omega_h = 1 at every grid point",
             "# catalytic rows realise d/n in lowest terms",
-            "# feasible: carnot = any engine possible; otto = bare hot-cold swap runs;"
+            "# feasible: carnot = beta_c*omega_c > beta_h*omega_h (beta_ratio*freq_ratio > 1);"
+            " otto = bare hot-cold swap runs;"
             " catalytic = the d/n simple permutation runs with a valid catalyst",
             "beta_ratio,freq_ratio,d_over_n,feasible,region_label",
         ]
@@ -786,7 +787,7 @@ class TestLpBound:
         code, out, err = run_cli(
             capsys,
             "lp-bound", "--beta-h", "1", "--beta-c", "3",
-            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "2",
+            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "3",
         )
         assert code == 4
         assert out == ""
@@ -800,7 +801,7 @@ class TestLpBound:
         code, out, err = run_cli(
             capsys,
             "lp-bound", "--beta-h", "1", "--beta-c", "3",
-            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "2",
+            "--omega-h", "1", "--omega-c", "0.5", "--catalyst-dim", "3",
         )
         assert code == 4
         assert out == ""
@@ -821,7 +822,7 @@ class TestLpBound:
             capsys,
             "lp-bound", "--beta-h", "1", "--beta-c", "3",
             "--omega-h", "1", "--omega-c", "0.5",
-            "--catalyst-dim", "2", "--catalyst-populations", "0.7,0.3",
+            "--catalyst-dim", "3", "--catalyst-populations", "0.5,0.3,0.2",
         )
         assert code == 4
         assert out == ""

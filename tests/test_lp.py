@@ -234,6 +234,129 @@ class TestVertexReconstruction:
             assert weights @ problem.work == pytest.approx(solution.value, abs=1e-10)
 
 
+def bistochastic_value(initial, hamiltonian, d_s):
+    """HiGHS over the n*n entries of a bistochastic B that keeps the
+    catalyst block sums of B p: the same bound without permutations."""
+    probs, energies = initial.probs, hamiltonian.energies()
+    n = probs.size
+    eye = np.eye(n)
+    rows = [np.kron(eye, np.ones(n)), np.kron(np.ones(n), eye)]
+    block = np.arange(n) // (n // d_s)
+    rows.append(np.kron(np.eye(d_s)[:, block], probs))
+    rhs = np.concatenate([np.ones(2 * n), initial.catalyst_marginal()])
+    result = linprog(
+        np.outer(energies, probs).reshape(-1), A_eq=np.vstack(rows), b_eq=rhs,
+        bounds=(0, None), method="highs",
+    )
+    assert result.success
+    return float(energies @ probs) - result.fun
+
+
+def sort_path_bodies(count):
+    """Seeded bodies for the parametric sort: 2- to 4-level hot and cold
+    spectra, cold = hot on some, and catalysts [1], [1, 0], [0, 1], uniform
+    and random."""
+    catalysts = ([1.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5], None)
+    for body in range(count):
+        rng = np.random.default_rng([26, body])
+        catalyst = catalysts[body % len(catalysts)]
+        if catalyst is None:
+            catalyst = list(rng.dirichlet(np.ones(2)))
+        d_h, d_c = (int(d) for d in rng.integers(2, 5, 2))
+        hot = ts.Spectrum(tuple(np.sort(np.concatenate([[0.0], rng.uniform(0.2, 2.0, d_h - 1)]))))
+        cold = ts.Spectrum(tuple(np.sort(np.concatenate([[0.0], rng.uniform(0.1, 1.5, d_c - 1)]))))
+        if body % 3 == 0:
+            cold = hot  # omega_c = omega_h: every kink comes in pairs
+        beta_h = float(rng.uniform(0.3, 1.5))
+        initial = ts.product_state(
+            catalyst,
+            ts.gibbs_populations(hot, beta_h),
+            ts.gibbs_populations(cold, beta_h + float(rng.uniform(0.2, 3.0))),
+        )
+        d_s = len(catalyst)
+        yield ts.combined_spectrum(ts.Spectrum.trivial(d_s), hot, cold), initial, d_s
+
+
+class TestParametricSort:
+    def test_matches_column_generation_and_highs(self):
+        for hamiltonian, initial, d_s in sort_path_bodies(120):
+            assert initial.dimension <= lp.MAX_DIMENSION
+            solution = ts.lp_work_upper_bound(hamiltonian, initial, d_s)
+            reference = lp._column_generation(hamiltonian, initial, d_s)
+            assert solution.value == pytest.approx(reference.value, abs=1e-12)
+            assert solution.value == pytest.approx(
+                bistochastic_value(initial, hamiltonian, d_s), abs=1e-9
+            )
+            assert max(solution.residuals.values()) <= 1e-12
+            assert len(solution.alphas) <= d_s
+
+    def test_runs_no_simplex(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(simplex, "simplex_solve", refuse)
+        for hamiltonian, initial, d_s in sort_path_bodies(10):
+            ts.lp_work_upper_bound(hamiltonian, initial, d_s)
+        hamiltonian, initial, d_s, _ = random_instance(np.random.default_rng(3), (3, 2, 2))
+        with pytest.raises(AssertionError, match="the simplex ran"):
+            ts.lp_work_upper_bound(hamiltonian, initial, d_s)
+
+    def test_energies_near_the_float_limit(self):
+        # the kinks span more than the float range; no multiplier overflows
+        for omega_h, omega_c in ((1e308, 1e307), (5e307, 4e307)):
+            beta = ts.InverseTemperaturePair(1e-300, 2e-300)
+            hot, cold = ts.Spectrum.qubit(omega_h), ts.Spectrum.qubit(omega_c)
+            initial = ts.product_state(
+                [0.7, 0.3],
+                ts.gibbs_populations(hot, beta.beta_h),
+                ts.gibbs_populations(cold, beta.beta_c),
+            )
+            hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(2), hot, cold)
+            solution = ts.lp_work_upper_bound(hamiltonian, initial, 2)
+            assert all(math.isfinite(v) for v in (solution.dual_y, *solution.dual_x))
+            assert solution.value == lp._column_generation(hamiltonian, initial, 2).value
+            assert max(solution.residuals.values()) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "t_0, omega_h, omega_c, beta_h, beta_c, end",
+        [
+            (0.01, 1e307, 4e307, 5e-308, 1e-307, -1),  # ends in the last interval
+            (0.99, 1e308, 1e307, 1e-308, 2e-307, 0),   # ends in the first interval
+        ],
+    )
+    def test_outer_intervals_near_the_float_limit(self, t_0, omega_h, omega_c, beta_h, beta_c, end):
+        # E + x overflows on the outer intervals for any x far enough out, so
+        # their sorted permutations are the limit orders; x* is the outer kink
+        hot, cold = ts.Spectrum.qubit(omega_h), ts.Spectrum.qubit(omega_c)
+        initial = ts.product_state(
+            [t_0, 1 - t_0], ts.gibbs_populations(hot, beta_h), ts.gibbs_populations(cold, beta_c)
+        )
+        hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(2), hot, cold)
+        solution = ts.lp_work_upper_bound(hamiltonian, initial, 2)
+        energies = hamiltonian.energies()
+        kinks = np.unique(energies[4:] - energies[:4, None])
+        assert solution.dual_x == (kinks[end],)
+        assert math.isfinite(solution.dual_y)
+        assert max(solution.residuals.values()) <= 1e-15 * energies.max()
+
+    def test_dual_is_the_kink(self):
+        # x* is a difference E_j - E_i of a block-0 and a block-1 level, and
+        # every permutation of the mixture is sorted optimal there
+        for hamiltonian, initial, d_s in sort_path_bodies(30):
+            if d_s == 1:
+                continue
+            solution = ts.lp_work_upper_bound(hamiltonian, initial, 2)
+            energies = hamiltonian.energies()
+            half = energies.size // 2
+            kinks = energies[half:] - energies[:half, None]
+            (x,) = solution.dual_x
+            assert np.isin(x, kinks)
+            images = np.array([perm.image for perm in solution.alphas])
+            problem = lp.build_work_bound_problem(hamiltonian, initial, 2, images)
+            reduced = problem.work - solution.dual_y - problem.marginals[:, 0] * x
+            assert np.abs(reduced).max() <= 1e-12
+
+
 class TestPricing:
     def test_sort_matches_brute_force(self, rng):
         # the sorted permutation has the largest reduced cost w - y - x . a
@@ -265,7 +388,6 @@ class TestWarmStartPin:
     @pytest.mark.parametrize(
         "catalyst, rounds, solves, warm, pivots",
         [
-            ([0.7, 0.3], 4, 3, 2, 3),
             ([0.5, 0.3, 0.2], 9, 8, 6, 9),
             ([0.4, 0.3, 0.2, 0.1], 11, 10, 7, 15),
         ],

@@ -178,7 +178,7 @@ class TestFinalSolves:
                 ts.gibbs_populations(cold, beta_h + float(rng.uniform(0.2, 3.0))),
             )
             hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(d_s), hot, cold)
-            lp.lp_work_upper_bound(hamiltonian, initial, d_s)
+            lp._column_generation(hamiltonian, initial, d_s)
         with_basis = [m for m in masters if m[3].basis is not None]
         assert len(with_basis) >= 60
         for objective, constraints, rhs, result in with_basis:
@@ -266,7 +266,7 @@ class TestFirstPhaseOnePivot:
                     ts.gibbs_populations(cold, beta_h * float(rng.uniform(1.1, 6.0))),
                 )
                 hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(d_s), hot, cold)
-                lp.lp_work_upper_bound(hamiltonian, initial, d_s)
+                lp._column_generation(hamiltonian, initial, d_s)
                 kept += masters[::3]
                 masters.clear()
         return kept

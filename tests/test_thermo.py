@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,11 +217,22 @@ class TestProbabilityValidator:
         ],
     )
     def test_messages_in_order(self, values, message):
-        # as the CLI calls it: a sum that overflows or meets inf - inf is not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError) as info:
-                thermo._as_probability_vector(values, "p")
+        with pytest.raises(ValueError) as info:
+            thermo._as_probability_vector(values, "p")
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [([np.inf, -np.inf], "non-finite entry"), ([1e308, 1e308], r"must sum to 1 \(got inf\)")],
+    )
+    def test_no_warning_before_the_error(self, values, message):
+        # the sum meets inf - inf or overflows; numpy's sum warned about both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ts.product_state([1.0], values, [1.0])
+            with pytest.raises(ValueError, match=message):
+                ts.PopulationVector(values, (1, 2, 1))
 
     def test_output_is_the_clip_at_zero(self, rng):
         cases = [
