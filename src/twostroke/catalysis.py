@@ -622,6 +622,7 @@ def fig_work_vs_cold_swaps(
     d = int(catalyst_dim)
     if d < 1:
         raise ValueError("catalyst dimension must be at least 1")
+    _check_flow_entries(d)  # before np.arange(1, d + 1) allocates
     hot_exponent = float(hot_exponent)
     exponent_ratio = float(exponent_ratio)
     freq_ratio = float(freq_ratio)

@@ -29,7 +29,13 @@ formats and writes the CSV _CSV_ROWS rows at a time.
 The parser is built once per process, on the first `main` call, and reused.
 An argv that starts with a subcommand is parsed once, by that subcommand's
 parser; any other argv goes through the top-level parser, which prints the
-help or the usage error.  JSON is written by one recursive pass that rounds
+help or the usage error.  A subcommand's parser takes a plain argv, each
+token a whole flag of that subcommand (a store flag followed by its value,
+which starts with "-" only as a negative number, or a switch alone), in one
+pass over its own argparse actions, so a new `add_argument` needs no second
+table; the namespace is argparse's, defaults and last-occurrence-wins
+included.  Help, usage errors, abbreviations, `--flag=value` and `--` stay
+argparse's, byte for byte.  JSON is written by one recursive pass that rounds
 each float and gives the exact text of `json.dumps(..., indent=2)`; a list
 of more than _JSON_ITEMS items, such as `report --simple`'s populations, is
 rendered in pieces, all before the first write.
@@ -424,11 +430,76 @@ class _Parser(argparse.ArgumentParser):
     and takes any negative float literal (-1e-3, -inf, -nan) as a value, so
     the range check, not argparse, refuses it.  A help text that cannot be
     written raises OSError inside `main`, which reports it (exit 2): argparse
-    would drop the write error, or leave it to the interpreter's last flush."""
+    would drop the write error, or leave it to the interpreter's last flush.
+
+    `parse_args` first tries `_exact_parse`, which reads a plain
+    `--flag value ... --switch` argv straight from this parser's own actions,
+    so a new `add_argument` needs no second table.  Any other argv goes to
+    argparse unchanged, so help, usage errors, abbreviations and
+    `--flag=value` stay argparse's."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = None if args is None else self._exact_parse(args, namespace)
+        return super().parse_args(args, namespace) if parsed is None else parsed
+
+    def _exact_parse(self, args, namespace):
+        """The namespace argparse would give, or None, leaving `namespace`
+        untouched, unless every token is a whole option string of this parser:
+        a store option followed by one value that does not start with "-" (a
+        _NEGATIVE_NUMBER literal excepted), or a store_true option alone.  A
+        parser with a positional, a required action or an exclusive group, and
+        a value that fails its type or choices, go to argparse too.  (argparse
+        takes a negative literal as a value only while no option string is its
+        first two characters or starts with it, as none here does.)"""
+        if self._mutually_exclusive_groups or any(
+            action.required or not action.option_strings for action in self._actions
+        ):
+            return None
+        parsed = []
+        tokens = iter(args)
+        for token in tokens:
+            action = self._option_string_actions.get(token)
+            kind = type(action)
+            if kind is argparse._StoreTrueAction:
+                parsed.append((action, action.const))
+                continue
+            if kind is not argparse._StoreAction or action.nargs is not None:
+                return None
+            value = next(tokens, None)
+            if value is None or value.startswith("-") and not (
+                self._negative_number_matcher.match(value)
+                and not self._has_negative_number_optionals
+            ):
+                return None
+            try:
+                value = value if action.type is None else action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            parsed.append((action, value))
+        namespace = argparse.Namespace() if namespace is None else namespace
+        seen = {action for action, _ in parsed}
+        for action in self._actions:
+            dest, default = action.dest, action.default
+            if dest is argparse.SUPPRESS or default is argparse.SUPPRESS:
+                continue
+            if hasattr(namespace, dest):
+                continue
+            # argparse runs a string default through `type` when the option is absent
+            if isinstance(default, str) and action not in seen:
+                default = self._get_value(action, default)
+            setattr(namespace, dest, default)
+        for dest, default in self._defaults.items():
+            if not hasattr(namespace, dest):
+                setattr(namespace, dest, default)
+        for action, value in parsed:
+            setattr(namespace, action.dest, value)
+        return namespace
 
     def error(self, message: str):
         raise ConfigError(message)

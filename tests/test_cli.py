@@ -676,6 +676,8 @@ class TestFlowSolveExits:
         [
             ([*REPORT, "--simple", "99999999,1"], 100000000),
             (["fig5", "--catalyst-dim", "4194305"], 4194305),
+            # refused before np.arange(1, d + 1), which numpy cannot allocate
+            (["fig5", "--catalyst-dim", "99999999999999999999"], 99999999999999999999),
         ],
     )
     def test_size_guard_exit_code(self, capsys, argv, entries):
@@ -1012,13 +1014,22 @@ DISPATCH_ARGV = [
     ["-h"],
     ["bogus"],
     ["--", "report"],
+    # at the edge of the subcommand parser's exact parse
+    ["report", *ENGINE, "--beta-h", "2", "--otto"],
+    ["report", *ENGINE, "--otto", "--otto"],
+    ["report", *ENGINE, "--otto", "--output", ""],
+    ["report", *ENGINE, "--perm", "-x"],
+    ["report", *ENGINE[:2], "--beta-c", "-inf", *ENGINE[4:], "--otto"],
+    ["optimize", *ENGINE, "--objective", "power", "--objective", "work"],
 ]
 
 
 class TestDispatch:
     """main hands an argv that starts with a subcommand straight to that
     subcommand's parser; everything it prints is what the top-level parser's
-    dispatch prints."""
+    dispatch prints.  That dispatch parses the subcommand's argv with argparse
+    alone (`parse_known_args`), so each argv here also compares the exact
+    parse with argparse."""
 
     @staticmethod
     def outcome(monkeypatch, capsys, argv, *, through_sys_argv=False):
@@ -1067,6 +1078,19 @@ class TestDispatch:
             "coherence-check", "fig5", "lp-bound", "optimize", "regime-map", "report",
             "table24",
         ]
+
+
+def test_exact_parse_reads_any_parser_as_argparse_would():
+    parser = cli._Parser(prog="probe")
+    parser.add_argument("--scale", type=float, default="1.5")  # converted when absent
+    parser.add_argument("--name", default="x")
+    parser.add_argument("--flag", action="store_true")
+    parser.set_defaults(name="y", extra=3)
+    for argv in ([], ["--flag"], ["--scale", "2", "--scale", "-1e-3"], ["--name", "z"]):
+        expected = argparse.ArgumentParser.parse_args(parser, argv)
+        assert repr(parser._exact_parse(argv, None)) == repr(expected)
+    parser.add_argument("path")  # with a positional, argparse parses every argv
+    assert parser._exact_parse(["--flag"], None) is None
 
 
 def rounded(payload):
@@ -1299,3 +1323,32 @@ def test_readme_usage_runs(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, ""), argv
         assert out
+
+
+def served_argv():
+    """Every argv the benchmark sends (a few seeded inputs) and the README shows."""
+    from test_benchmark_contract import load_perfbench
+
+    workloads = load_perfbench("workloads")
+    argvs = list(readme_commands())
+    for index in range(3):
+        rng = np.random.default_rng([7, index])
+        argvs += workloads.cli_calls(workloads.cli_input(rng))
+        argvs.append(workloads.regime_argv(workloads.regime_input(rng)))
+    return argvs
+
+
+@pytest.mark.parametrize("argv", served_argv(), ids=lambda argv: " ".join(argv))
+def test_exact_parse_serves_benchmark_and_readme_argv(monkeypatch, capsys, argv):
+    # main parses each without argparse, so a later edit that sends these
+    # calls back through argparse fails here
+    command = build_parser().commands[argv[0]]
+    expected = argparse.ArgumentParser.parse_args(
+        command, argv[1:], argparse.Namespace(command=argv[0])
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a plain argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert TestDispatch.outcome(monkeypatch, capsys, argv)[3] == [vars(expected)]

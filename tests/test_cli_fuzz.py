@@ -9,6 +9,7 @@ dimensions, grid resolution, trial counts) stay small so that every call
 is quick; the size guards themselves are covered by the unit tests.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -17,7 +18,7 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twostroke.cli import main
+from twostroke.cli import build_parser, main
 
 MALFORMED = st.sampled_from(["", "abc", "1,2", "0x1p3", "--", " ", "1e", "-1e-3"])
 NUMBERS = st.one_of(
@@ -175,3 +176,42 @@ def test_cli_boundary(argv):
         assert code in (2, 3, 4), (code, err)
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+BOUNDARY = st.sampled_from(["-h", "--", "--bet", "--beta-h=1", "-x", "-1e-3", "-inf", "", "x y"])
+
+
+@st.composite
+def spliced_argv(draw):
+    """An ARGV draw with boundary tokens and repeated flags spliced in."""
+    command, *rest = draw(ARGV)
+    for _ in range(draw(st.integers(0, 3))):
+        position = draw(st.integers(0, len(rest)))
+        flags = [index for index, token in enumerate(rest) if token.startswith("--")]
+        if flags and draw(st.booleans()):
+            first = draw(st.sampled_from(flags))
+            rest[position:position] = rest[first : first + 2]
+        else:
+            rest.insert(position, draw(BOUNDARY))
+    return [command, *rest]
+
+
+@settings(max_examples=500)
+@given(argv=spliced_argv())
+@example(argv=["report", "--beta-h", "1", "--beta-h", "-inf", "--otto", "--otto"])
+@example(argv=["report", "--perm", "-x"])
+@example(argv=["report", "--output", "", "--simple", "x y"])
+def test_exact_parse_agrees_with_argparse(argv):
+    """Whenever the exact parse takes an argv, argparse takes it too and gives
+    the same namespace (compared by repr, so NaN values match); when it
+    declines, it leaves the namespace for argparse untouched."""
+    command = build_parser().commands[argv[0]]
+    namespace = argparse.Namespace(command=argv[0])
+    exact = command._exact_parse(argv[1:], namespace)
+    if exact is None:
+        assert vars(namespace) == {"command": argv[0]}
+        return
+    expected = argparse.ArgumentParser.parse_args(
+        command, argv[1:], argparse.Namespace(command=argv[0])
+    )
+    assert repr(exact) == repr(expected)
