@@ -28,12 +28,11 @@ Which path serves which d_s:
   the dual optimum is that whole interval; the reported x* is its left kink,
   or the first kink when it is the leftmost interval.
 - d_s >= 3 goes to column generation (Dantzig--Wolfe): a master over the
-  permutations found so far, each later master solved by
-  `simplex.simplex_solve`, and a pricing step that adds the permutation of
-  largest reduced cost against the master's duals.  The first master, the
-  identity column alone, is solved in closed form (its one feasible point is
-  the identity).  `_column_generation` serves every d_s, and the tests use
-  it as the reference at d_s <= 2.
+  permutations found so far, the identity alone at first, each master solved
+  by `simplex.simplex_solve` (warm from the previous round's basis when it
+  has one), and a pricing step that adds the permutation of largest reduced
+  cost against the master's duals.  `_column_generation` serves every d_s,
+  and the tests use it as the reference at d_s <= 2.
 
 On both paths the last pricing runs at the reported duals, so its reduced
 cost is the dual certificate's, the one `lp_dual_check` recomputes.  The
@@ -144,18 +143,6 @@ def _pricing(energies: np.ndarray, probs: np.ndarray, catalyst_dim: int):
     return best
 
 
-def _identity_master(problem: WorkBoundProblem) -> simplex.SimplexResult:
-    """The first master, the identity column alone, in closed form: x = [1],
-    multipliers (w, 0, ..., 0) with w the identity's work as built, and no
-    warm basis past one block (phase one drops each block row, t_k times the
-    convexity row).  These are the bits `simplex.simplex_solve` returns."""
-    work = problem.work[0]
-    dual = np.zeros(problem.target.size)
-    dual[0] = work
-    basis = [0] if problem.target.size == 1 else None
-    return simplex.SimplexResult(float(work), np.ones(1), dual, basis, 0)
-
-
 def check_dimension(n: int) -> None:
     """Refuse a working body of dimension n above MAX_DIMENSION."""
     if n > MAX_DIMENSION:
@@ -254,23 +241,21 @@ def _column_generation(
     target = initial.catalyst_marginal()
     rhs = np.concatenate([[1.0], target[:-1]])
     # the identity keeps the catalyst, so the master is feasible from the start
-    images = [np.arange(n)]
-    stack = np.array(images)
-    problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, stack)
-    result = _identity_master(problem)
+    images, basis = [np.arange(n)], None
     while True:
-        image, reduced = best(result.dual[0], result.dual[1:])
-        if reduced <= simplex.PIVOT_TOL or (stack == image).all(axis=1).any():
-            break
-        images.append(image)
         stack = np.array(images)
         problem = build_work_bound_problem(hamiltonian, initial, catalyst_dim, stack)
         # kept as this vstack (F-ordered from the second round on): a C-ordered
         # copy sends `multipliers @ columns` through another BLAS kernel, whose
         # last-ulp differences change the pivots on degenerate masters
         columns = np.vstack([np.ones(len(images)), problem.marginals[:, :-1].T])
+        result = simplex.simplex_solve(problem.work, columns, rhs, basis=basis)
+        image, reduced = best(result.dual[0], result.dual[1:])
+        if reduced <= simplex.PIVOT_TOL or (stack == image).all(axis=1).any():
+            break
+        images.append(image)
         # appending a column keeps the basis primal feasible
-        result = simplex.simplex_solve(problem.work, columns, rhs, basis=result.basis)
+        basis = result.basis
     # the pricing that ended the loop ran at these duals: it is the check's own
     return _solution(problem, stack, result.x, result.value, result.dual, reduced,
                      hamiltonian, initial)

@@ -771,6 +771,8 @@ class TestLpBound:
             # the README example
             ("lp_bound_readme.json", "2", "0.7,0.3"),
             ("lp_bound_dim4.json", "4", "0.4,0.3,0.2,0.1"),
+            # a zero block: the first master's block rows are rank-deficient
+            ("lp_bound_dim3_zero_population.json", "3", "0.6,0,0.4"),
         ],
     )
     def test_matches_golden(self, capsys, golden, dim, populations):
