@@ -422,6 +422,49 @@ class TestWarmStartPin:
         assert sum(used for _, used in calls) == pivots
 
 
+class TestIdentityMaster:
+    def test_closed_form_is_the_simplex_optimum(self, rng):
+        # the first master, the identity column alone, has one feasible point:
+        # x = [1], value its work w as built, multipliers (w, 0, ..., 0), and
+        # no warm basis past one block (phase one drops each block row, t_k
+        # times the convexity row); the simplex returns these bits
+        for _ in range(300):
+            d_s = int(rng.integers(1, 9))
+            if rng.random() < 0.5:
+                catalyst = rng.dirichlet(np.ones(d_s))
+                if d_s > 1 and rng.random() < 0.3:
+                    catalyst[rng.integers(d_s)] = 0.0
+                    catalyst = catalyst / catalyst.sum()
+            else:
+                catalyst = np.full(d_s, 1.0 / d_s)
+            hot = ts.Spectrum.qubit(float(rng.uniform(0.3, 3.0)))
+            cold = ts.Spectrum.qubit(float(rng.uniform(0.2, 3.0)))
+            beta_h = float(rng.uniform(0.3, 2.0))
+            initial = ts.product_state(
+                catalyst,
+                ts.gibbs_populations(hot, beta_h),
+                ts.gibbs_populations(cold, beta_h * float(rng.uniform(1.1, 6.0))),
+            )
+            hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(d_s), hot, cold)
+            problem = lp.build_work_bound_problem(
+                hamiltonian, initial, d_s, np.arange(initial.dimension)[None]
+            )
+            work = problem.work
+            if rng.random() < 0.5:
+                # the identity's work is 0 up to the builder's rounding; an
+                # offset shows that the optimum is the work, not 0
+                work = work + rng.normal()
+            columns = np.vstack([np.ones(1), problem.marginals[:, :-1].T])
+            rhs = np.concatenate([[1.0], problem.target[:-1]])
+            solved = simplex.simplex_solve(work, columns, rhs)
+            dual = np.zeros(rhs.size)
+            dual[0] = work[0]
+            assert repr(solved.value) == repr(float(work[0]))
+            assert solved.x.tobytes() == np.ones(1).tobytes()
+            assert solved.dual.tobytes() == dual.tobytes()
+            assert solved.basis == ([0] if d_s == 1 else None)
+
+
 class TestGuardFallback:
     def test_restricted_columns_flagged(self):
         # dimension 12, beyond the reach of the n! permutation columns, is
