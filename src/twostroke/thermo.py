@@ -167,7 +167,8 @@ def gibbs_populations(spectrum: Spectrum, beta: float) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two vectors or of two matrices.
+    """Kronecker product of two vectors, or of two matrices each of which may
+    be a stack of matrices (leading axes broadcast, one product per matrix).
 
     The same elementwise products, dtype promotion and layout as numpy's
     kron, so the result is bit-identical, but as one broadcast multiply:
@@ -176,8 +177,10 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if a.ndim == 1:
         return (a[:, None] * b[None, :]).reshape(-1)
-    product = a[:, None, :, None] * b[None, :, None, :]
-    return product.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+    product = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return product.reshape(
+        *product.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]
+    )
 
 
 def product_state(catalyst, hot, cold) -> PopulationVector:

@@ -916,7 +916,7 @@ class TestCoherenceCheck:
         def refuse(*args):
             raise AssertionError("the suite drew an engine past its cap")
 
-        monkeypatch.setattr(coherence, "random_cyclic_engine", refuse)
+        monkeypatch.setattr(coherence, "_draw_engine", refuse)
         code, out, err = run_cli(
             capsys, "coherence-check", "--trials", "2", "--catalyst-dims", "2,129"
         )
@@ -930,7 +930,7 @@ class TestCoherenceCheck:
 
         def misordered(rho):
             values, vectors = eigenbasis(rho)
-            return values[::-1], vectors
+            return values[..., ::-1], vectors
 
         monkeypatch.setattr(coherence, "_phase_fixed_descending_eigenbasis", misordered)
         code, out, err = run_cli(

@@ -124,6 +124,19 @@ class TestKron:
             )
             assert_same_bits(_kron(a, b), np.kron(a, b))
 
+    def test_stacks_are_per_matrix(self, rng):
+        # a stack, or a matrix broadcast against a stack, gives numpy's kron
+        # of each pair of matrices
+        a = rng.normal(size=(3, 2, 2)) + 1j * signed_zeros(rng.normal(size=(3, 2, 2)), rng)
+        b = signed_zeros(rng.normal(size=(3, 4, 4)), rng) + 0j
+        eye = np.eye(3)
+        for ours, pairs in [
+            (_kron(a, b), zip(a, b)),
+            (_kron(eye, b), ((eye, y) for y in b)),
+            (_kron(a, eye), ((x, eye) for x in a)),
+        ]:
+            assert_same_bits(ours, np.array([np.kron(x, y) for x, y in pairs]))
+
     @pytest.mark.parametrize("k, m", [(1, 4), (2, 4), (3, 4), (5, 2)])
     def test_identity_with_unitary(self, rng, k, m):
         # the float/complex promotion of random_cyclic_engine and _decohere
