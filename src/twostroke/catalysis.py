@@ -45,6 +45,8 @@ from .thermo import (
     InverseTemperaturePair,
     Spectrum,
     _kron,
+    check_spacings,
+    dimensionless_engine,
     gibbs_populations,
 )
 
@@ -349,14 +351,9 @@ def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) 
         return -math.inf
 
 
-def _check_spacings(omega_h: float, omega_c: float) -> None:
-    if not (0.0 < omega_h < math.inf and 0.0 < omega_c < math.inf):
-        raise ValueError("level spacings must be positive and finite")
-
-
 def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> tuple[float, float]:
     """Validated exp(-beta*omega) of both excited qubit levels, (bh, bc)."""
-    _check_spacings(omega_h, omega_c)
+    check_spacings(omega_h, omega_c)
     return _check_boltzmann(math.exp(-beta.beta_h * omega_h), math.exp(-beta.beta_c * omega_c))
 
 
@@ -470,7 +467,7 @@ def _catalytic_window(quality, freq_ratio, exponent_ratio):
 
 def _engine_window(omega_h: float, omega_c: float, beta, number=float):
     """Validated d/n window ends of `_catalytic_window`; number=Fraction gives them exactly."""
-    _check_spacings(omega_h, omega_c)
+    check_spacings(omega_h, omega_c)
     w_h, w_c, b_h, b_c = (number(float(x)) for x in (omega_h, omega_c, beta.beta_h, beta.beta_c))
     return max(number(1), w_c / w_h), b_c * w_c / (b_h * w_h)
 
@@ -623,22 +620,11 @@ def fig_work_vs_cold_swaps(
     if d < 1:
         raise ValueError("catalyst dimension must be at least 1")
     _check_flow_entries(d)  # before np.arange(1, d + 1) allocates
-    hot_exponent = float(hot_exponent)
-    exponent_ratio = float(exponent_ratio)
-    freq_ratio = float(freq_ratio)
-    if hot_exponent <= 0 or exponent_ratio <= 0 or freq_ratio <= 0:
-        raise ValueError("dimensionless parameters must be positive")
-    omega_h = 1.0
-    omega_c = freq_ratio
-    beta_h = hot_exponent
-    beta_c = hot_exponent * exponent_ratio / freq_ratio
-    if not beta_c > beta_h:
-        raise ValueError(
-            "exponent_ratio/freq_ratio must exceed 1 so the hot bath is hotter"
-        )
-    beta = InverseTemperaturePair(beta_h, beta_c)
-    hot = gibbs_populations(Spectrum.qubit(omega_h), beta_h)
-    cold = gibbs_populations(Spectrum.qubit(omega_c), beta_c)
+    omega_h, omega_c, beta = dimensionless_engine(
+        hot_exponent, float(hot_exponent) * float(exponent_ratio), freq_ratio
+    )
+    hot = gibbs_populations(Spectrum.qubit(omega_h), beta.beta_h)
+    cold = gibbs_populations(Spectrum.qubit(omega_c), beta.beta_c)
     baseline = ergotropy(
         _kron(hot, cold), Spectrum((0.0, omega_c, omega_h, omega_h + omega_c))
     )

@@ -207,30 +207,22 @@ def resolve_engine(args) -> tuple[float, float, thermo.InverseTemperaturePair]:
             raise ConfigError("the dimensionless form needs both --bh-wh and --bc-wc")
         if args.freq_ratio is None:
             raise ConfigError("the dimensionless form needs --freq-ratio")
-        if args.freq_ratio <= 0 or args.bh_wh <= 0 or args.bc_wc <= 0:
-            raise ConfigError("dimensionless parameters must be positive")
-        omega_h = 1.0
-        omega_c = args.freq_ratio
-        beta_h = args.bh_wh
-        beta_c = args.bc_wc / args.freq_ratio
-    else:
-        missing = [
-            name
-            for name, value in (
-                ("--beta-h", args.beta_h),
-                ("--beta-c", args.beta_c),
-                ("--omega-h", args.omega_h),
-                ("--omega-c", args.omega_c),
-            )
-            if value is None
-        ]
-        if missing:
-            raise ConfigError(f"missing engine flags: {', '.join(missing)}")
-        omega_h, omega_c = args.omega_h, args.omega_c
-        beta_h, beta_c = args.beta_h, args.beta_c
-    if not (0 < omega_h < math.inf and 0 < omega_c < math.inf):
-        raise ConfigError("level spacings must be positive and finite")
-    return float(omega_h), float(omega_c), thermo.InverseTemperaturePair(beta_h, beta_c)
+        return thermo.dimensionless_engine(args.bh_wh, args.bc_wc, args.freq_ratio)
+    missing = [
+        name
+        for name, value in (
+            ("--beta-h", args.beta_h),
+            ("--beta-c", args.beta_c),
+            ("--omega-h", args.omega_h),
+            ("--omega-c", args.omega_c),
+        )
+        if value is None
+    ]
+    if missing:
+        raise ConfigError(f"missing engine flags: {', '.join(missing)}")
+    thermo.check_spacings(args.omega_h, args.omega_c)
+    beta = thermo.InverseTemperaturePair(args.beta_h, args.beta_c)
+    return float(args.omega_h), float(args.omega_c), beta
 
 
 def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
@@ -280,7 +272,7 @@ def cmd_report(args) -> int:
         hot, cold, beta.beta_h, beta.beta_c, np.array([image])
     )
     report = thermo.CycleReport.from_heats(heat_hot[0], heat_cold[0])
-    if args.otto and report.work <= thermo.MODE_TOL:
+    if args.otto and thermo.ENGINE not in report.modes:
         raise NoEngineRegimeError("no engine regime")
     _emit_json(report.to_dict(), args.output)
     return 0

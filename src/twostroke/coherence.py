@@ -21,13 +21,12 @@ suite's results do not depend on how its trials are chunked.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .catalysis import SimplePermSpec, build_simple_perm, solve_catalyst_state
+from .catalysis import SimplePermSpec, _qubit_boltzmann, build_simple_perm, solve_catalyst_state
 from .errors import CoherenceCheckError, GuardExceededError
 from .thermo import InverseTemperaturePair, Spectrum, _kron, gibbs_populations
 
@@ -364,7 +363,7 @@ def _draw_engine(
     rest = hamiltonian_hot.dimension * hamiltonian_cold.dimension
     if family is None:
         choices = list(CYCLIC_FAMILIES)
-        if rest != 4:
+        if (hamiltonian_hot.dimension, hamiltonian_cold.dimension) != (2, 2):
             choices.remove("ladder")
         family = choices[rng.integers(len(choices))]
     d = catalyst_dim
@@ -379,13 +378,12 @@ def _draw_engine(
         weights = rng.dirichlet(np.ones(d))
         return _EngineDraw(family, catalyst, rng.normal(size=(d, 2, rest, rest)), weights, None)
     if family == "ladder":
-        if rest != 4:
+        if (hamiltonian_hot.dimension, hamiltonian_cold.dimension) != (2, 2):
             raise ValueError("ladder engines need qubit hot/cold factors")
         n = int(rng.integers(1, catalyst_dim + 1))
         shape = SimplePermSpec(catalyst_dim - n, n)
-        boltz_hot = math.exp(-beta.beta_h * hamiltonian_hot.levels[1])
-        boltz_cold = math.exp(-beta.beta_c * hamiltonian_cold.levels[1])
-        catalyst_state = solve_catalyst_state(shape, boltz_hot, boltz_cold)
+        boltz = _qubit_boltzmann(hamiltonian_hot.levels[1], hamiltonian_cold.levels[1], beta)
+        catalyst_state = solve_catalyst_state(shape, *boltz)
         return _EngineDraw(
             family,
             catalyst,

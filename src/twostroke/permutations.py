@@ -17,13 +17,14 @@ import numpy as np
 
 from .errors import GuardExceededError
 from .thermo import (
-    MODE_TOL,
     CycleReport,
     InverseTemperaturePair,
     PopulationVector,
     Spectrum,
     _kron,
+    cycle_efficiency,
     gibbs_populations,
+    is_engine,
 )
 
 MAX_SWEEP_DIMENSION = 9
@@ -164,14 +165,14 @@ def optimal_noncatalytic(
         hamiltonian_hot, hamiltonian_cold, beta.beta_h, beta.beta_c, images
     )
 
-    engine = work > MODE_TOL
+    engine = is_engine(work)
     if not engine.any():
         return OptimizationResult(0.0, (), None, False)
     values = np.full(work.shape, -np.inf)
     if objective == "work":
         values[engine] = work[engine]
     else:
-        values[engine] = 1.0 + heat_cold[engine] / heat_hot[engine]
+        values[engine] = cycle_efficiency(heat_hot[engine], heat_cold[engine])
     best_index = int(values.argmax())
     best = float(values[best_index])
     winners = np.flatnonzero(values >= best - 1e-12)

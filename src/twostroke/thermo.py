@@ -84,6 +84,22 @@ class InverseTemperaturePair:
         return 1.0 - self.beta_h / self.beta_c
 
 
+def check_spacings(omega_h: float, omega_c: float) -> None:
+    if not (0.0 < omega_h < math.inf and 0.0 < omega_c < math.inf):
+        raise ValueError("level spacings must be positive and finite")
+
+
+def dimensionless_engine(
+    bh_wh: float, bc_wc: float, freq_ratio: float
+) -> tuple[float, float, InverseTemperaturePair]:
+    """(omega_h, omega_c, beta) at omega_h = 1 from beta_h*omega_h,
+    beta_c*omega_c and omega_c/omega_h, each positive and finite."""
+    bh_wh, bc_wc, freq_ratio = float(bh_wh), float(bc_wc), float(freq_ratio)
+    if not all(0.0 < x < math.inf for x in (bh_wh, bc_wc, freq_ratio)):
+        raise ValueError("dimensionless parameters must be positive and finite")
+    return 1.0, freq_ratio, InverseTemperaturePair(bh_wh, bc_wc / freq_ratio)
+
+
 def _as_probability_vector(values, name: str) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -202,6 +218,16 @@ def combined_spectrum(catalyst: Spectrum, hot: Spectrum, cold: Spectrum) -> Spec
     return Spectrum(tuple(total.reshape(-1)))
 
 
+def is_engine(work):
+    """The engine verdict, work > MODE_TOL, for a float or elementwise over an array."""
+    return work > MODE_TOL
+
+
+def cycle_efficiency(heat_hot, heat_cold):
+    """1 + Q_c/Q_h, for floats or elementwise over arrays."""
+    return 1.0 + heat_cold / heat_hot
+
+
 def classify_modes(work: float, heat_hot: float, heat_cold: float) -> frozenset[str]:
     """Operating modes of a stroke.
 
@@ -210,7 +236,7 @@ def classify_modes(work: float, heat_hot: float, heat_cold: float) -> frozenset[
     is returned rather than an arbitrary single one.
     """
     modes = set()
-    if work > MODE_TOL:
+    if is_engine(work):
         modes.add(ENGINE)
     if work < -MODE_TOL and heat_cold > MODE_TOL:
         modes.add(COOLER)
@@ -263,7 +289,7 @@ class CycleReport:
         if efficiency is not None:
             efficiency = float(efficiency)
         elif abs(heat_hot) > MODE_TOL:
-            efficiency = 1.0 + heat_cold / heat_hot
+            efficiency = cycle_efficiency(heat_hot, heat_cold)
         else:
             efficiency = None
         return cls(work, heat_hot, heat_cold, efficiency, classify_modes(work, heat_hot, heat_cold))

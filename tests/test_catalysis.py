@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from typing import NamedTuple
@@ -109,6 +110,17 @@ class TestBuildSimplePerm:
         image[2], image[4] = image[4], image[2]  # |1,1,0> <-> |2,0,0>
         image[6], image[1] = image[1], image[6]  # |2,1,0> <-> |1,0,1>
         assert perm.image == tuple(image)
+
+    def test_size_guard_before_building(self):
+        # 4d > 2**22 levels are refused before the image list is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ts.GuardExceededError, match="too large to materialise"):
+                ts.build_simple_perm(ts.SimplePermSpec(2**20, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**12
 
 
 class TestSubspaceFlows:
@@ -789,6 +801,34 @@ class TestRegimeMap:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             ts.regime_map(["2"], (0.9, 1.5), (0.2, 1.8), 4)
+
+    @pytest.mark.parametrize(
+        "qualities, freq_range, message",
+        [(["2"], (0.0, 1.0), "freq ratio range"), ([], (0.2, 1.8), "at least one d/n ratio")],
+    )
+    def test_argument_refusals(self, qualities, freq_range, message):
+        with pytest.raises(ValueError, match=message):
+            ts.regime_map(qualities, (1.1, 1.5), freq_range, 4)
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("2.2", Fraction(11, 5)), (2.2, Fraction(11, 5)), (3, Fraction(3)), ("7/3", Fraction(7, 3))],
+    )
+    def test_quality_coercion(self, value, expected):
+        assert catalysis._as_quality(value) == expected
+
+    @pytest.mark.parametrize(
+        "value, error, message",
+        [
+            (object(), TypeError, "cannot interpret"),
+            (0, ValueError, "must be positive"),
+            ("1/0", ValueError, "zero denominator"),
+            ("1e400", ValueError, "exceeds the float range"),
+        ],
+    )
+    def test_quality_refusals(self, value, error, message):
+        with pytest.raises(error, match=message):
+            catalysis._as_quality(value)
 
 
 class TestCatalyticWindow:

@@ -24,6 +24,7 @@ from twostroke.errors import ConfigError
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
+ENGINE = ("--beta-h", "1", "--beta-c", "3", "--omega-h", "1", "--omega-c", "0.5")
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +232,14 @@ class TestConfigValidation:
             ["twostroke"],
             [],
             ["fig5", "--bh-wh", "-2e-1"],
+            ["report", *ENGINE, "--simple", "1,1,1"],
+            ["report", *ENGINE, "--simple", "a,b"],
+            ["report", *ENGINE, "--perm", "0,1,2,3,4"],
+            ["report", *ENGINE, "--perm", "0,0,1,2"],
+            ["lp-bound", *ENGINE, "--catalyst-dim", "0"],
+            ["lp-bound", *ENGINE, "--catalyst-dim", "2", "--catalyst-populations", "a,b"],
+            ["coherence-check", "--catalyst-dims", "2,,3"],
+            ["report", "--bh-wh", "1", "--freq-ratio", "0.5", "--otto"],
         ],
     )
     def test_usage_error_is_one_line(self, capsys, argv):
@@ -240,6 +249,21 @@ class TestConfigValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         # a negative float literal is a value, never a flag without one
         assert "expected one argument" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig5", "--bh-wh", "nan"],
+            ["fig5", "--freq-ratio", "inf"],
+            ["fig5", "--ratio", "nan"],
+            ["report", "--bh-wh", "1", "--bc-wc", "3", "--freq-ratio", "nan", "--otto"],
+        ],
+    )
+    def test_non_finite_dimensionless_refused(self, capsys, argv):
+        # fig5 and the dimensionless flags share one conversion and one check
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: dimensionless parameters must be positive and finite\n"
 
     def test_mixed_forms_rejected(self, capsys):
         code, _, err = run_cli(
@@ -596,6 +620,7 @@ class TestFig5:
     def test_invalid_parameters(self, capsys):
         code, _, err = run_cli(capsys, "fig5", "--ratio", "0.4", "--freq-ratio", "0.5")
         assert code == 2
+        assert err == "error: hot bath must be hotter: beta_c > beta_h required\n"
 
     @pytest.mark.parametrize(
         "golden, argv",
@@ -940,9 +965,6 @@ class TestCoherenceCheck:
         assert out == ""
         assert err.startswith("error: decohered engine heats differ by ")
         assert err.count("\n") == 1
-
-
-ENGINE = ("--beta-h", "1", "--beta-c", "3", "--omega-h", "1", "--omega-c", "0.5")
 
 
 class TestParserReuse:

@@ -42,6 +42,10 @@ class TestDephase:
         out = ts.dephase(rho, ts.Spectrum((0.0, 0.3, 0.7, 1.2)))
         assert np.trace(out) == pytest.approx(np.trace(rho), abs=1e-14)
 
+    def test_mismatched_state_refused(self):
+        with pytest.raises(ValueError, match="does not match the spectrum"):
+            ts.dephase(np.eye(3, dtype=complex) / 3, ts.Spectrum.qubit(1.0))
+
     def test_degenerate_block_kept(self):
         rho = coherence.random_density(3, np.random.default_rng(3))
         out = ts.dephase(rho, ts.Spectrum((0.0, 1.0, 1.0)))
@@ -91,6 +95,84 @@ class TestValidation:
                 ts.Spectrum.qubit(0.5),
                 ts.InverseTemperaturePair(1.0, 3.0),
             )
+
+    @pytest.mark.parametrize(
+        "rho, unitary_dim, message",
+        [
+            ([[0.5, 0.1], [0.0, 0.5]], 8, "not Hermitian"),
+            ([[1.2, 0.0], [0.0, -0.2]], 8, "not positive semidefinite"),
+            ([[0.5, 0.0], [0.0, 0.5]], 4, "does not match the working-body dimension"),
+        ],
+    )
+    def test_invalid_engine_refused(self, rho, unitary_dim, message):
+        with pytest.raises(ValueError, match=message):
+            ts.decohere_catalyst_construction(
+                np.array(rho, dtype=complex),
+                np.eye(unitary_dim, dtype=complex),
+                ts.Spectrum.qubit(1.0),
+                ts.Spectrum.qubit(0.5),
+                ts.InverseTemperaturePair(1.0, 3.0),
+            )
+
+    def test_unknown_family_refused(self, rng):
+        with pytest.raises(ValueError, match="unknown family 'nope'"):
+            random_cyclic(rng, "nope")
+
+    @pytest.mark.parametrize("hot_dim, cold_dim", [(4, 1), (1, 4)])
+    def test_ladder_needs_two_qubits(self, rng, hot_dim, cold_dim):
+        # four hot-cold levels that are not two qubits have no ladder
+        hot, cold = ts.Spectrum(tuple(range(hot_dim))), ts.Spectrum(tuple(range(cold_dim)))
+        beta = ts.InverseTemperaturePair(1.0, 3.0)
+        with pytest.raises(ValueError, match="ladder engines need qubit"):
+            coherence.random_cyclic_engine(2, hot, cold, beta, rng, family="ladder")
+        for _ in range(30):
+            rho, stroke = coherence.random_cyclic_engine(2, hot, cold, beta, rng)
+            ts.decohere_catalyst_construction(rho, stroke, hot, cold, beta)
+
+
+class TestQutritHotFactor:
+    """Generators with a three-level hot factor, the d-level bodies of the
+    paper's conjecture: no ladder, and the other families decohere exactly."""
+
+    @staticmethod
+    def engine_parameters(rng):
+        hot = ts.Spectrum((0.0, *np.sort(rng.uniform(0.5, 2.0, 2))))
+        cold = ts.Spectrum.qubit(float(rng.uniform(0.2, 1.5)))
+        beta_h = float(rng.uniform(0.2, 1.0))
+        return hot, cold, ts.InverseTemperaturePair(beta_h, beta_h + float(rng.uniform(0.2, 2.0)))
+
+    def test_random_family_is_never_ladder(self, monkeypatch, rng):
+        families = []
+        draw = coherence._draw_engine
+
+        def recording(*args, **kwargs):
+            engine = draw(*args, **kwargs)
+            families.append(engine.family)
+            return engine
+
+        monkeypatch.setattr(coherence, "_draw_engine", recording)
+        for _ in range(200):
+            coherence.random_cyclic_engine(2, *self.engine_parameters(rng), rng)
+        assert set(families) == {"hc_local", "block_rotation"}
+
+    def test_ladder_refused(self, rng):
+        with pytest.raises(ValueError, match="ladder engines need qubit"):
+            coherence.random_cyclic_engine(
+                2, *self.engine_parameters(rng), rng, family="ladder"
+            )
+
+    @pytest.mark.parametrize("family", ["hc_local", "block_rotation"])
+    def test_decohered_heats_match(self, family):
+        worst = 0.0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            hot, cold, beta = self.engine_parameters(rng)
+            rho, stroke = coherence.random_cyclic_engine(
+                2 + seed % 2, hot, cold, beta, rng, family=family
+            )
+            original, rotated = ts.decohere_catalyst_construction(rho, stroke, hot, cold, beta)
+            worst = max(worst, abs(original[0] - rotated[0]), abs(original[1] - rotated[1]))
+        assert worst <= 1e-10
 
 
 class TestDecohereConstruction:

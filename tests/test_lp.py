@@ -508,8 +508,12 @@ class TestGuardFallback:
             ts.gibbs_populations(cold, beta.beta_c),
         )
         hamiltonian = ts.combined_spectrum(ts.Spectrum.trivial(2), hot, cold)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not match the state shape"):
             ts.lp_work_upper_bound(hamiltonian, initial, 1)
+        # a spectrum of three catalyst blocks for a two-block state
+        wrong = ts.combined_spectrum(ts.Spectrum.trivial(3), hot, cold)
+        with pytest.raises(ValueError, match="spectrum does not match the state dimension"):
+            ts.lp_work_upper_bound(wrong, initial, 2)
 
 
 class TestSerialisation:

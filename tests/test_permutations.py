@@ -225,6 +225,13 @@ class TestOptimalNoncatalytic:
             by_work = ts.optimal_noncatalytic(hot, cold, beta, objective="work")
             assert by_work.report.work == by_work.best_value
 
+    def test_unknown_objective(self):
+        beta = ts.InverseTemperaturePair(1.0, 2.0)
+        with pytest.raises(ValueError, match="unknown objective 'power'"):
+            ts.optimal_noncatalytic(
+                ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5), beta, objective="power"
+            )
+
     def test_guard(self):
         beta = ts.InverseTemperaturePair(1.0, 2.0)
         with pytest.raises(ts.GuardExceededError):

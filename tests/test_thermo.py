@@ -328,8 +328,17 @@ class TestStrokeReport:
 
     def test_shape_mismatch(self):
         other = ts.product_state([1.0], [1.0, 0.0], [1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="basis shapes differ"):
             ts.stroke_report(self.initial, other, self.hot, self.cold, self.beta)
+
+    @pytest.mark.parametrize(
+        "hot_levels, cold_levels, message",
+        [((0.0, 1.0, 2.0), (0.0, 0.5), "hot"), ((0.0, 1.0), (0.0, 0.5, 1.0), "cold")],
+    )
+    def test_spectrum_size_mismatch(self, hot_levels, cold_levels, message):
+        hot, cold = ts.Spectrum(hot_levels), ts.Spectrum(cold_levels)
+        with pytest.raises(ValueError, match=f"{message} spectrum does not match"):
+            ts.stroke_report(self.initial, self.initial, hot, cold, self.beta)
 
 
 class TestClausius:
