@@ -12,8 +12,10 @@ physics invariant (a failed coherence check), 2 usage or configuration error
 (`-h` included), 3 no engine regime, 4 size or iteration guard exceeded or an
 internal fault (a RuntimeError).  A flow solve that yields a negative or
 non-finite catalyst is such a fault: a simple permutation's catalyst always
-exists, so the former exit 3 "infeasible catalyst" is now exit 4.  A failure
-prints one `error:` line and no stdout, except optimize's exit 3 (its JSON).
+exists, so the former exit 3 "infeasible catalyst" is now exit 4.  So is an
+`lp-bound` certificate whose residuals exceed _CERTIFICATE_TOL: it is never
+printed as optimal.  A failure prints one `error:` line and no stdout, except
+optimize's exit 3 (its JSON).
 `regime-map` exits 4 on a grid of more than `catalysis.MAX_REGIME_ROWS` CSV
 rows (resolution**2 * (2 + number of d/n ratios)), `report --simple` and
 `fig5` on a catalyst of more than `catalysis.MAX_FLOW_ENTRIES` blocks (one
@@ -35,10 +37,11 @@ which starts with "-" only as a negative number, or a switch alone), in one
 pass over its own argparse actions, so a new `add_argument` needs no second
 table; the namespace is argparse's, defaults and last-occurrence-wins
 included.  Help, usage errors, abbreviations, `--flag=value` and `--` stay
-argparse's, byte for byte.  JSON is written by one recursive pass that rounds
-each float and gives the exact text of `json.dumps(..., indent=2)`; a list
-of more than _JSON_ITEMS items, such as `report --simple`'s populations, is
-rendered in pieces, all before the first write.
+argparse's, byte for byte.  JSON is written by one recursive pass,
+`_json_parts`, that rounds each float and appends the exact text of
+`json.dumps(..., indent=2)` to a list of pieces, a list joined _JSON_ITEMS
+items a piece, so `report --simple`'s long populations are never one text;
+every piece is rendered before the first write.
 """
 
 from __future__ import annotations
@@ -104,71 +107,68 @@ def _emit(text: str | Iterable[str], output: str | None) -> None:
 _encode_str = json.encoder.encode_basestring_ascii
 _CSV_ROWS = 2**14  # fig5 rows formatted per written chunk
 _JSON_ITEMS = 2**12  # items of a long JSON list rendered per written piece
+_CERTIFICATE_TOL = 1e-7  # lp-bound residual limit, in units of max(1, omega) for the dual
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """The text of `json.dumps(value, indent=2)` with every float through round12.
+def _json_parts(value, indent: str, out: list[str]) -> None:
+    """Append the text of `json.dumps(value, indent=2)`, with every float
+    through round12, to `out`.
 
     `indent` is the newline and indentation of the enclosing level.  json's
     C encoder is used only without `indent`, so one recursive pass here is
-    faster than rounding a copy and running json's Python encoder on it.
+    faster than rounding a copy and running json's Python encoder on it.  A
+    list is joined _JSON_ITEMS items per appended piece, so that no text
+    holds a long list whole.
     """
     if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return float.__repr__(round12(value))
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            _encode_str(key) + ": " + _json_text(item, inner) for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _json_pieces(value, indent: str = "\n"):
-    """The text of `_json_text(value, indent)` in pieces, in order.
-
-    Dicts are opened key by key, and a list of more than _JSON_ITEMS items
-    is rendered _JSON_ITEMS items a piece, so that no text holds it whole.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict) and value:
+        out.append(_encode_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(round12(value)))
+    elif isinstance(value, dict):
+        inner = indent + "  "
         opening = "{" + inner
         for key, item in value.items():
-            yield opening + _encode_str(key) + ": "
-            yield from _json_pieces(item, inner)
+            out.append(opening + _encode_str(key) + ": ")
+            _json_parts(item, inner, out)
             opening = "," + inner
-        yield indent + "}"
-    elif isinstance(value, (list, tuple)) and len(value) > _JSON_ITEMS:
-        opening = "[" + inner
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = indent + "  "
+        separator = "," + inner
         for first in range(0, len(value), _JSON_ITEMS):
-            items = value[first : first + _JSON_ITEMS]
-            yield opening + ("," + inner).join([_json_text(item, inner) for item in items])
-            opening = "," + inner
-        yield indent + "]"
+            piece = []
+            for item in value[first : first + _JSON_ITEMS]:
+                piece.append(separator)
+                _json_parts(item, inner, piece)
+            if not first:
+                piece[0] = "[" + inner
+            out.append("".join(piece))
+        out.append(indent + "]" if value else "[]")
     else:
-        yield _json_text(value, indent)
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """The JSON text `_emit_json` writes, without its final newline."""
+    out: list[str] = []
+    _json_parts(value, "\n", out)
+    return "".join(out)
 
 
 def _emit_json(payload: dict, output: str | None) -> None:
     # every piece is rendered before the first write, so a failure prints no stdout
-    _emit([*_json_pieces(payload), "\n"], output)
+    out: list[str] = []
+    _json_parts(payload, "\n", out)
+    out.append("\n")
+    _emit(out, output)
 
 
 def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
@@ -390,6 +390,14 @@ def cmd_lp_bound(args) -> int:
     )
     hamiltonian = thermo.combined_spectrum(thermo.Spectrum.trivial(catalyst_dim), hot, cold)
     solution = lp.lp_work_upper_bound(hamiltonian, initial, catalyst_dim)
+    # a certificate that fails its own residuals is a fault, never "optimal"
+    dual_limit = _CERTIFICATE_TOL * max(1.0, omega_h, omega_c)
+    for name, residual in solution.residuals.items():
+        limit = dual_limit if name == "dual_max_violation" else _CERTIFICATE_TOL
+        if not residual <= limit:
+            raise RuntimeError(
+                f"the work bound failed its certificate: {name} {residual:.3e} exceeds {limit:.3e}"
+            )
     _emit_json(solution.to_dict(), args.output)
     return 0
 

@@ -8,14 +8,15 @@ cold Hamiltonians.  This module performs that construction numerically on
 small complex matrices and checks the equality, plus generators for random
 engines whose strokes provably preserve the catalyst.
 
-The suite runs its trials a chunk at a time.  It draws every trial's numbers
-in generator order, orthonormalises all Ginibre draws of one size with one
-stacked QR, and decoheres each catalyst dimension's engines on the stack:
-one eigendecomposition per catalyst, and the original and decohered states
-of all trials evaluated together, a few at a time at large dimensions.  The
-one-engine functions are the one-trial case of the same kernels, and every
-stacked numpy call computes each matrix as the one-matrix call would, so the
-suite's results do not depend on how its trials are chunked.
+The suite runs its trials a chunk at a time, which bounds its memory.  It
+draws every trial's numbers in generator order, builds the engines of each
+family and size on one stack (one QR for all their catalyst bases, one for
+all their hot-cold blocks), and decoheres each size's engines together: one
+eigendecomposition per catalyst, then one evaluation pass over the original
+states and strokes and one over the decohered states and rotated strokes.
+The one-engine functions are the one-trial case of the same kernels, and
+every stacked numpy call computes each matrix as the one-matrix call would,
+so the suite's results do not depend on how its trials are chunked.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ DENSITY_TOL = 1e-10
 TRACE_TOL = 1e-12
 HEAT_MATCH_TOL = 1e-10
 CYCLICITY_MATCH_TOL = 1e-10
-# dense (4d)^2 complex matrices: at 128 a trial takes ~0.15 s and peaks at ~27 MB traced
+# dense (4d)^2 complex matrices: at 128 a trial takes ~0.15 s and peaks at ~26 MB traced
 MAX_SUITE_CATALYST_DIM = 128
-# (4d)^2 stroke-matrix entries one pass holds over its original and decohered
-# states: about 20 trials at d = 2 or 3, one state at a time from d = 12 on
+# (4d)^2 stroke-matrix entries a chunk holds over its original and rotated
+# strokes: about 20 trials at d = 2 or 3, one trial a chunk from d = 11 on
 _CHUNK_ENTRIES = 2**12
 
 
@@ -182,17 +183,6 @@ def _unitary_defect(unitary: np.ndarray) -> np.ndarray:
     return np.abs(product).max(axis=(-2, -1))
 
 
-def _rows(stacks: tuple[np.ndarray, ...], start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of the concatenation of `stacks`, without copying rows
-    that all lie in one stack."""
-    parts = []
-    for stack in stacks:
-        if start < len(stack) and stop > 0:
-            parts.append(stack[max(start, 0) : stop])
-        start, stop = start - len(stack), stop - len(stack)
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 def _rotate(unitary: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     """R^dagger U R for R = rotation x 1 on the hot and cold factors."""
     rotation_full = _kron(rotation, _identity(unitary.shape[-1] // rotation.shape[-1]))
@@ -213,39 +203,32 @@ def _decohere_stack(
     check, then the two CoherenceCheckErrors, as decohere_catalyst_construction
     raises them.
     """
-    count, catalyst_dim = rho_catalyst.shape[:2]
+    catalyst_dim = rho_catalyst.shape[1]
     hermitian_defect = np.abs(rho_catalyst - _adjoint(rho_catalyst)).max(axis=(-2, -1))
     trace = np.trace(rho_catalyst, axis1=-2, axis2=-1)
     values, rotation = _phase_fixed_descending_eigenbasis(rho_catalyst)
-    smallest = values.min(axis=-1)
     unitary_defect = _unitary_defect(unitary)
+    baths = _bath_factors(catalyst_dim, engines)
+    original = _evaluate_strokes(rho_catalyst, unitary, baths)
+    decohered = _evaluate_strokes(
+        _diagonal_matrices(np.clip(values, 0.0, None)), _rotate(unitary, rotation), baths
+    )
 
-    # the original states, then the decohered ones; only the strokes are
-    # large enough to be worth not copying
-    states = np.concatenate((rho_catalyst, _diagonal_matrices(np.clip(values, 0.0, None))))
-    strokes = (unitary, _rotate(unitary, rotation))
-    baths = tuple(np.concatenate((rows, rows)) for rows in _bath_factors(catalyst_dim, engines))
-    step = max(1, _CHUNK_ENTRIES // unitary.shape[-1] ** 2)
-    parts = [
-        _evaluate_strokes(
-            states[i : i + step],
-            _rows(strokes, i, i + step),
-            tuple(rows[i : i + step] for rows in baths),
-        )
-        for i in range(0, 2 * count, step)
-    ]
-    heat_hot, heat_cold, residual = (np.concatenate(p).tolist() for p in zip(*parts))
-
+    checks = zip(
+        hermitian_defect.tolist(),
+        trace.tolist(),
+        values.min(axis=-1).tolist(),
+        unitary_defect.tolist(),
+    )
+    heats = zip(*(part.tolist() for part in original + decohered))
     outcomes = []
-    for k, (defect, tr, low, u_defect) in enumerate(
-        zip(hermitian_defect.tolist(), trace.tolist(), smallest.tolist(), unitary_defect.tolist())
+    for (defect, tr, low, u_defect), (hot, cold, residual, hot_r, cold_r, residual_r) in zip(
+        checks, heats
     ):
-        original = (heat_hot[k], heat_cold[k])
-        rotated = (heat_hot[count + k], heat_cold[count + k])
-        mismatch = max(abs(original[0] - rotated[0]), abs(original[1] - rotated[1]))
+        mismatch = max(abs(hot - hot_r), abs(cold - cold_r))
         if defect > DENSITY_TOL:
             outcome = ValueError("catalyst state is not Hermitian")
-        elif abs(tr.real - 1.0) > 1e-12 or abs(tr.imag) > TRACE_TOL:
+        elif abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
             outcome = ValueError("catalyst state must have unit trace")
         elif low < -DENSITY_TOL:
             outcome = ValueError(f"catalyst state is not positive semidefinite ({low:.3e})")
@@ -253,12 +236,10 @@ def _decohere_stack(
             outcome = ValueError(f"stroke unitary is not unitary (defect {u_defect:.3e})")
         elif mismatch > HEAT_MATCH_TOL:
             outcome = CoherenceCheckError(f"decohered engine heats differ by {mismatch:.3e}")
-        elif residual[k] <= CYCLICITY_MATCH_TOL and residual[count + k] > CYCLICITY_MATCH_TOL:
-            outcome = CoherenceCheckError(
-                f"cyclicity did not transfer: residual {residual[count + k]:.3e}"
-            )
+        elif residual <= CYCLICITY_MATCH_TOL and residual_r > CYCLICITY_MATCH_TOL:
+            outcome = CoherenceCheckError(f"cyclicity did not transfer: residual {residual_r:.3e}")
         else:
-            outcome = (original, rotated, mismatch, residual[k])
+            outcome = ((hot, cold), (hot_r, cold_r), mismatch, residual)
         outcomes.append(outcome)
     return outcomes
 
@@ -290,29 +271,17 @@ def decohere_catalyst_construction(
     return outcome[:2]
 
 
-def _haar_unitaries(gaussians: list[np.ndarray]) -> list[np.ndarray]:
-    """Haar unitaries from stacks of Ginibre parts, each (k, 2, n, n) with the
-    real part before the imaginary one: one QR for all draws of one size,
-    then each R's diagonal phases moved into Q (Mezzadri, "How to generate
-    random matrices from the classical compact groups", Notices AMS 54, 2007).
+def _haar_unitaries(parts: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (k, 2, n, n) stack of Ginibre parts, the real part
+    before the imaginary one: one stacked QR, then each R's diagonal phases
+    moved into Q (Mezzadri, "How to generate random matrices from the
+    classical compact groups", Notices AMS 54, 2007).
     """
-    by_size: dict[int, list[int]] = {}
-    for i, parts in enumerate(gaussians):
-        by_size.setdefault(parts.shape[-1], []).append(i)
-    unitaries: list[np.ndarray] = [None] * len(gaussians)
-    for members in by_size.values():
-        parts = np.concatenate([gaussians[i] for i in members])
-        q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
-        diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-        # LAPACK's Householder QR leaves R with a real diagonal, so each entry
-        # of Q times a phase is one rounded real product, in any kernel
-        q = q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
-        start = 0
-        for i in members:
-            stop = start + gaussians[i].shape[0]
-            unitaries[i] = q[start:stop]
-            start = stop
-    return unitaries
+    q, r = np.linalg.qr(parts[:, 0] + 1j * parts[:, 1])
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    # LAPACK's Householder QR leaves R with a real diagonal, so each entry
+    # of Q times a phase is one rounded real product, in any kernel
+    return q * (diagonal / np.abs(diagonal)).conj()[:, None, :]
 
 
 def _wishart(parts: np.ndarray) -> np.ndarray:
@@ -324,7 +293,7 @@ def _wishart(parts: np.ndarray) -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase normalisation."""
-    return _haar_unitaries([rng.normal(size=(1, 2, dim, dim))])[0][0]
+    return _haar_unitaries(rng.normal(size=(1, 2, dim, dim)))[0]
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -403,9 +372,7 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(count, d * r, d * r)
 
 
-def _build_family(
-    family: str, draws: list[_EngineDraw], bases: list, locals_: list
-) -> tuple[np.ndarray, np.ndarray]:
+def _build_family(family: str, draws: list[_EngineDraw]) -> tuple[np.ndarray, np.ndarray]:
     """(rho_s, U) stacks of engines of one family and one size.
 
     hc_local: U = 1 x V with V a hot-cold unitary, rho_s Wishart.  The other
@@ -413,17 +380,21 @@ def _build_family(
     B_f = B x 1 and C block diagonal (block_rotation) or the ladder's
     permutation.  B diag(s) is formed as B * s and B_f P as a column gather:
     both products are exact, so they equal the dense products to the bit.
+    All catalyst bases are orthonormalised by one stacked QR, and all
+    hot-cold blocks by another.
     """
-    rest = draws[0].local.shape[-1]
+    count, rest = len(draws), draws[0].local.shape[-1]
+    if family != "ladder":
+        local = _haar_unitaries(np.concatenate([draw.local for draw in draws]))
     if family == "hc_local":
         rho = _wishart(np.array([draw.catalyst for draw in draws]))
-        return rho, _kron(_identity(rho.shape[-1]), np.concatenate(locals_))
-    basis = np.array(bases)
+        return rho, _kron(_identity(rho.shape[-1]), local)
+    basis = _haar_unitaries(np.array([draw.catalyst for draw in draws]))
     spectrum = np.array([draw.spectrum for draw in draws])
     rho = (basis * spectrum[:, None, :]) @ _adjoint(basis)
     basis_full = _kron(basis, _identity(rest))
     if family == "block_rotation":
-        spread = basis_full @ _block_diagonal(np.array(locals_))
+        spread = basis_full @ _block_diagonal(local.reshape(count, -1, rest, rest))
     else:
         images = np.array([draw.image for draw in draws])
         spread = np.take_along_axis(basis_full, images[:, None, :], axis=-1)
@@ -431,45 +402,19 @@ def _build_family(
 
 
 def _build_engines(draws: list[_EngineDraw]) -> list[tuple[list[int], np.ndarray, np.ndarray]]:
-    """(draw indices, rho_s stack, U stack) per catalyst and hot-cold size.
-
-    Every Ginibre draw of one size is orthonormalised by one stacked QR.
-    """
-    gaussians = []
-    for draw in draws:
-        if draw.family != "hc_local":
-            gaussians.append(draw.catalyst[None])
-        if len(draw.local):
-            gaussians.append(draw.local)
-    unitaries = iter(_haar_unitaries(gaussians))
-    bases, locals_ = [], []
-    for draw in draws:
-        bases.append(None if draw.family == "hc_local" else next(unitaries)[0])
-        locals_.append(next(unitaries) if len(draw.local) else None)
-
+    """(draw indices, rho_s stack, U stack) per catalyst and hot-cold size."""
     groups: dict[tuple, dict[str, list[int]]] = {}
     for i, draw in enumerate(draws):
         size = (draw.catalyst.shape[-1], draw.local.shape[-1])
         groups.setdefault(size, {}).setdefault(draw.family, []).append(i)
     built = []
     for families in groups.values():
-        parts = [
-            (
-                members,
-                *_build_family(
-                    family,
-                    [draws[i] for i in members],
-                    [bases[i] for i in members],
-                    [locals_[i] for i in members],
-                ),
-            )
+        stacks = [
+            _build_family(family, [draws[i] for i in members])
             for family, members in families.items()
         ]
-        if len(parts) == 1:
-            built.append(parts[0])
-        else:
-            members, rho, stroke = zip(*parts)
-            built.append((sum(members, []), np.concatenate(rho), np.concatenate(stroke)))
+        rho, stroke = (np.concatenate(parts) for parts in zip(*stacks))
+        built.append((sum(families.values(), []), rho, stroke))
     return built
 
 
@@ -493,7 +438,7 @@ def random_cyclic_engine(
     are test generators with the preservation property by construction.
     """
     draw = _draw_engine(catalyst_dim, hamiltonian_hot, hamiltonian_cold, beta, rng, family)
-    ((_, rho, stroke),) = _build_engines([draw])
+    rho, stroke = _build_family(draw.family, [draw])
     return rho[0], stroke[0]
 
 
@@ -506,8 +451,8 @@ class CoherenceSuiteResult:
 
 def _trial_chunks(catalyst_dims):
     """Consecutive runs of the trials' catalyst dimensions whose original and
-    decohered states hold at most _CHUNK_ENTRIES stroke-matrix entries, and at
-    least one trial each."""
+    rotated strokes hold at most _CHUNK_ENTRIES matrix entries, and at least
+    one trial each."""
     chunk, entries = [], 0
     for d in catalyst_dims:
         size = 2 * (4 * d) ** 2

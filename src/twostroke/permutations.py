@@ -22,6 +22,7 @@ from .thermo import (
     PopulationVector,
     Spectrum,
     _kron,
+    check_spacings,
     cycle_efficiency,
     gibbs_populations,
     is_engine,
@@ -185,7 +186,7 @@ OTTO_SWAP_IMAGE: tuple[int, ...] = (0, 2, 1, 3)
 
 
 @lru_cache(maxsize=1)
-def canonical_qubit_images() -> tuple[tuple[int, ...], ...]:
+def canonical_qubit_images() -> tuple[PermutationMap, ...]:
     """Fixed row order for the 24-permutation table of a qubit working body.
 
     Identity first, then the hot-cold exchange that realises the Otto engine,
@@ -193,9 +194,8 @@ def canonical_qubit_images() -> tuple[tuple[int, ...], ...]:
     tables byte-identical across runs.
     """
     head = ((0, 1, 2, 3), OTTO_SWAP_IMAGE)
-    return head + tuple(
-        image for image in map(tuple, images_array(4).tolist()) if image not in head
-    )
+    rest = (image for image in map(tuple, images_array(4).tolist()) if image not in head)
+    return tuple(map(PermutationMap, (*head, *rest)))
 
 
 @dataclass(frozen=True)
@@ -213,20 +213,19 @@ def qubit_table(
 
     Efficiency is reported absent (None) whenever the stroke draws no hot
     heat, which covers both the identity row and the rows that only shuffle
-    cold populations.
+    cold populations.  The spacings must be positive and finite, and so must
+    the betas, in either order.
     """
-    for name, value in (("beta_h", beta_h), ("omega_h", omega_h),
-                        ("beta_c", beta_c), ("omega_c", omega_c)):
-        if not float(value) > 0.0:
-            raise ValueError(f"{name} must be positive")
-    images = canonical_qubit_images()
+    check_spacings(omega_h, omega_c)
+    perms = canonical_qubit_images()
+    images = np.array([perm.image for perm in perms])
     _, heat_hot, heat_cold = sweep_heats(
-        Spectrum.qubit(omega_h), Spectrum.qubit(omega_c), beta_h, beta_c, np.array(images)
+        Spectrum.qubit(omega_h), Spectrum.qubit(omega_c), beta_h, beta_c, images
     )
     rows = []
-    for k, image in enumerate(images):
+    for k, perm in enumerate(perms):
         report = CycleReport.from_heats(heat_hot[k], heat_cold[k])
-        rows.append(QubitTableRow(k + 1, PermutationMap(image), report.work, report.efficiency))
+        rows.append(QubitTableRow(k + 1, perm, report.work, report.efficiency))
     return rows
 
 

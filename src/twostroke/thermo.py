@@ -251,8 +251,8 @@ def clausius_lhs(heat_hot: float, heat_cold: float, beta: InverseTemperaturePair
     """Left-hand side of the Clausius inequality, beta_h*Q_h + beta_c*Q_c.
 
     Any stroke produced by a bistochastic rearrangement of a Gibbs-product
-    state with the catalyst preserved keeps this nonpositive; callers assert
-    that, this function just evaluates it.
+    state with the catalyst preserved keeps this nonpositive.  This function
+    only evaluates it: no CLI path checks the inequality; the tests do.
     """
     return beta.beta_h * heat_hot + beta.beta_c * heat_cold
 
@@ -315,9 +315,10 @@ def stroke_report(
 
     Heats are marginal energy decreases of the hot and cold factors, so they
     do not depend on the bath temperatures; `beta` travels with the call for
-    the caller's bookkeeping (Clausius and Carnot checks live on top of this).
-    The catalyst marginal must agree between `initial` and `final`, otherwise
-    the accounting would silently attribute catalyst energy to the baths.
+    the caller's bookkeeping, and nothing here checks Clausius or Carnot.
+    The catalyst marginal must agree between `initial` and `final` within
+    CYCLICITY_TOL, otherwise the accounting would silently attribute catalyst
+    energy to the baths.  No CLI path calls this; the tests do.
     """
     if initial.basis_shape != final.basis_shape:
         raise ValueError(

@@ -744,6 +744,60 @@ class TestLpBound:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("; this is a bug\n")
 
+    @pytest.mark.parametrize(
+        "body, residual",
+        [
+            # the bound is 0.00491234577605, the d_s = 2 bound of the two
+            # non-empty blocks; the failed certificate printed -6.9e-18
+            (
+                ["--beta-h", "1.4147704192717623", "--beta-c", "7.218058026014194",
+                 "--omega-h", "2.876740435208829", "--omega-c", "2.584196823165261",
+                 "--catalyst-dim", "3", "--catalyst-populations",
+                 "0.3540613699571716,0.6459386300428284,0.0"],
+                "dual_max_violation 3.125e-02",
+            ),
+            # the bound is 0.01602310802; the failed certificate printed 0.0
+            (
+                ["--beta-h", "0.8873738936793687", "--beta-c", "5.190277231484787",
+                 "--omega-h", "1.60034298497652", "--omega-c", "2.5009969501025267",
+                 "--catalyst-dim", "5", "--catalyst-populations",
+                 "0.561121891634429,0.06600991925701835,0.05165022551639061,"
+                 "0.32121796359216204,0.0"],
+                "dual_max_violation 1.562e-02",
+            ),
+        ],
+    )
+    def test_failed_certificate_is_an_internal_fault(self, capsys, body, residual):
+        # a zero catalyst population left these masters with a certificate
+        # that fails by far more than its tolerance; never print it as optimal
+        code, out, err = run_cli(capsys, "lp-bound", *body)
+        assert (code, out) == (4, "")
+        assert err.startswith("error: the work bound failed its certificate: " + residual)
+        assert err.count("\n") == 1
+
+    def test_certificate_tolerance_scales_the_dual_with_omega(self, capsys, monkeypatch):
+        # the limits are 1e-7 on the primal residuals and 1e-7 max(1, omega)
+        # on the dual violation: at omega_h = 3, 2.9e-7 passes and 3.1e-7 fails
+        solve = lp.lp_work_upper_bound
+
+        def with_residuals(residuals):
+            def solved(*args):
+                solution = solve(*args)
+                solution.residuals.update(residuals)
+                return solution
+
+            monkeypatch.setattr(lp, "lp_work_upper_bound", solved)
+            return run_cli(
+                capsys, "lp-bound", "--beta-h", "1", "--beta-c", "3",
+                "--omega-h", "3", "--omega-c", "0.5", "--catalyst-dim", "2",
+            )
+
+        assert with_residuals({"dual_max_violation": 2.9e-7})[0] == 0
+        assert with_residuals({"dual_max_violation": 3.1e-7})[0] == 4
+        assert with_residuals({"weight_sum_error": 0.9e-7})[0] == 0
+        assert with_residuals({"primal_marginal_max": 1.1e-7})[0] == 4
+        assert with_residuals({"weight_sum_error": math.nan})[0] == 4
+
     def test_trivial_catalyst_matches_ergotropy(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -1190,8 +1244,10 @@ class TestJsonText:
         # two items a piece, so most lists here are written in pieces
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_JSON_ITEMS", 2)
+            parts = []
             try:
-                pieces = "".join(cli._json_pieces(payload))
+                cli._json_parts(payload, "\n", parts)
+                pieces = "".join(parts)
             except ConfigError as exc:
                 pieces = exc
         expected = written_json(payload)

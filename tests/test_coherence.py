@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -284,7 +285,9 @@ class TestSuite:
     # (run_coherence_suite arguments, max heat mismatch, max residual), taken
     # from the one-trial-at-a-time suite.  Seeds 124 and 159 move when the
     # eigenvector phases round differently, (60, 11) spans several chunks,
-    # and d = 16 evaluates its two states one at a time.
+    # and d = 16 evaluates its two states one at a time.  At d = 8 two trials
+    # make one chunk, at d = 12 one trial's two states first exceed
+    # _CHUNK_ENTRIES, and seed 4's first d = 2 stack holds all three families.
     PINNED = [
         ((3, 1), 5.551115123125783e-16, 2.2215691303690623e-16),
         ((3, 42), 1.2212453270876722e-15, 4.441532816980157e-16),
@@ -297,6 +300,10 @@ class TestSuite:
         ((20, 4, (5,)), 1.0269562977782698e-15, 2.775560949692613e-16),
         ((60, 11), 1.4432899320127035e-15, 7.216619996467567e-16),
         ((2, 5, (16,)), 1.1102230246251565e-16, 4.165916131619751e-17),
+        ((4, 3, (8,)), 5.828670879282072e-16, 1.165754827143445e-16),
+        ((2, 3, (11,)), 6.661338147750939e-16, 2.7756422635651865e-17),
+        ((2, 3, (12,)), 1.3877787807814457e-16, 4.172868667667449e-17),
+        ((6, 4), 4.440892098500626e-16, 3.3369401129541716e-16),
     ]
 
     @pytest.mark.parametrize("args, mismatch, residual", PINNED)
@@ -308,6 +315,31 @@ class TestSuite:
         dims = (2, 3)
         sizes = [2 * (4 * dims[t % 2]) ** 2 for t in range(60)]
         assert sum(sizes) > 2 * coherence._CHUNK_ENTRIES
+
+    def test_pinned_chunk_boundaries(self, monkeypatch):
+        assert [len(chunk) for chunk in coherence._trial_chunks([8] * 4)] == [2, 2]
+        assert [len(chunk) for chunk in coherence._trial_chunks([11] * 2)] == [1, 1]
+        assert 2 * (4 * 11) ** 2 <= coherence._CHUNK_ENTRIES < 2 * (4 * 12) ** 2
+        stacks = []
+        decohere = coherence._decohere_stack
+
+        def recording(rho, unitary, engines):
+            stacks.append(rho.shape[1])
+            return decohere(rho, unitary, engines)
+
+        families = []
+        draw = coherence._draw_engine
+
+        def drawing(*args, **kwargs):
+            engine = draw(*args, **kwargs)
+            families.append((engine.catalyst.shape[-1], engine.family))
+            return engine
+
+        monkeypatch.setattr(coherence, "_decohere_stack", recording)
+        monkeypatch.setattr(coherence, "_draw_engine", drawing)
+        ts.run_coherence_suite(6, 4)
+        assert stacks == [2, 3]
+        assert {family for d, family in families if d == 2} == set(coherence.CYCLIC_FAMILIES)
 
     @pytest.mark.parametrize(
         "trials, seed, catalyst_dims",
@@ -386,6 +418,44 @@ class TestSuite:
 
     def test_zero_trials(self):
         assert ts.run_coherence_suite(0, 0, ()) == coherence.CoherenceSuiteResult(0, 0.0, 0.0)
+
+
+def sha256(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+class TestGeneratorBytes:
+    """The generators' matrices at fixed seeds, to the byte, as the
+    one-engine builders produced them before the stacked QR."""
+
+    hot = ts.Spectrum.qubit(1.3)
+    cold = ts.Spectrum.qubit(0.4)
+    beta = ts.InverseTemperaturePair(0.7, 2.1)
+
+    def test_random_unitary(self):
+        unitary = coherence.random_unitary(5, np.random.default_rng(7))
+        assert sha256(unitary) == "09df30788e802bb0e1d3c2596504734b743553f6c1ddb90b5044b6e3d078f38a"
+
+    def test_random_density(self):
+        rho = coherence.random_density(4, np.random.default_rng(7))
+        assert sha256(rho) == "eaaf547573ea8106b68f1bac7fd069f03ed0f9877f3c02d4e7814c24fa48ffd1"
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            ("hc_local", "8a258d05356e6aa8114f1b9c5cb659b4fc90cbb1eee35029a40e56b7bc9f8a41"),
+            ("block_rotation", "6574ffe666101c785cd2992ad3dfb008a9535281aaac7edbf66181e9dca2de06"),
+            ("ladder", "f8dd07ce3807a1a989bed3b379b1b195c470035ae60eb4932bd37964783ea5f3"),
+        ],
+    )
+    def test_random_cyclic_engine(self, family, expected):
+        rho, stroke = coherence.random_cyclic_engine(
+            3, self.hot, self.cold, self.beta, np.random.default_rng(7), family=family
+        )
+        assert sha256(rho, stroke) == expected
 
 
 class TestFailureBranches:

@@ -1,5 +1,6 @@
 """The package's public surface."""
 
+import ast
 from pathlib import Path
 
 import twostroke as ts
@@ -29,3 +30,32 @@ def test_each_engine_rule_has_one_owner():
         "1.0 + heat_cold / heat_hot",
     ):
         assert sum(source.count(text) for source in sources.values()) == 1, text
+
+
+# private names the package keeps for its tests alone: the JSON oracle compares `_json_text`
+TEST_ONLY = {"_json_text"}
+
+
+def test_every_private_name_is_used():
+    # a refactor that stops calling a helper removes it too
+    package = Path(ts.__file__).parent
+    defined, used = set(), set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - used) == sorted(TEST_ONLY)
+    tests = "".join(path.read_text() for path in Path(__file__).parent.glob("test_*.py"))
+    assert all(f".{name}(" in tests for name in TEST_ONLY)

@@ -264,11 +264,32 @@ class TestOptimalNoncatalytic:
 
 class TestQubitTable:
     def test_canonical_order(self):
-        images = canonical_qubit_images()
+        images = [perm.image for perm in canonical_qubit_images()]
         assert images[0] == (0, 1, 2, 3)
         assert images[1] == OTTO_SWAP_IMAGE
         assert list(images[2:]) == sorted(images[2:])
         assert len(set(images)) == 24
+
+    def test_rows_share_the_cached_permutations(self):
+        rows = ts.qubit_table(1.0, 1.0, 3.0, 0.5)
+        assert tuple(row.perm for row in rows) == canonical_qubit_images()
+        assert all(a.perm is b for a, b in zip(rows, canonical_qubit_images()))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((1.0, 0.0, 3.0, 0.5), "level spacings must be positive and finite"),
+            ((1.0, 1.0, 3.0, -0.5), "level spacings must be positive and finite"),
+            ((1.0, math.inf, 3.0, 0.5), "level spacings must be positive and finite"),
+            ((1.0, 1.0, 3.0, math.nan), "level spacings must be positive and finite"),
+            ((0.0, 1.0, 3.0, 0.5), "beta must be positive and finite"),
+            ((1.0, 1.0, -3.0, 0.5), "beta must be positive and finite"),
+            ((math.inf, 1.0, 3.0, 0.5), "beta must be positive and finite"),
+        ],
+    )
+    def test_invalid_body_refused(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            ts.qubit_table(*args)
 
     def test_identity_row(self):
         rows = ts.qubit_table(1.0, 1.0, 3.0, 0.5)
