@@ -34,7 +34,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegeneratePointError,
     GuardExceededError,
     NoEngineRegimeError,
@@ -45,6 +44,7 @@ from .thermo import (
     InverseTemperaturePair,
     Spectrum,
     _kron,
+    check_finite,
     check_spacings,
     dimensionless_engine,
     gibbs_populations,
@@ -186,7 +186,7 @@ def _check_flow_entries(entries: int) -> None:
 
 
 def _solve_flow_balance(
-    d: int, n: Sequence[int], boltz_hot: float, boltz_cold: float, check_ends: bool = True
+    d: int, n: Sequence[int], boltz_hot: float, boltz_cold: float
 ) -> _FlowSolution:
     """Block transfer of every (d - n, n) split at one pair of Boltzmann
     factors, in O(d + splits); `n` is an array of split counts.
@@ -224,10 +224,8 @@ def _solve_flow_balance(
     p_m, and p_{m+1} when the cold segment runs backward or p_{d-1} when it
     runs forward, each formed as its population would be.
     `_FlowSolution.populations` builds one split's populations on demand and
-    checks them elementwise; `solve_catalyst_state`, which builds them
-    anyway, passes check_ends=False.  A catalyst of more than
-    MAX_FLOW_ENTRIES blocks raises GuardExceededError (exit 4) before
-    anything is allocated.
+    checks them elementwise.  A catalyst of more than MAX_FLOW_ENTRIES blocks
+    raises GuardExceededError (exit 4) before anything is allocated.
     """
     _check_flow_entries(d)
     n = np.asarray(n)
@@ -250,18 +248,18 @@ def _solve_flow_balance(
     cold[:2, 1:].cumsum(axis=1, out=cold[2:, 1:])
     chunks = range(0, n.size, _FLOW_CHUNK)
     if len(chunks) == 1:
-        p_0, v, transfer = _close_splits(d, n, hot, cold, bh, bc, check_ends)
+        p_0, v, transfer = _close_splits(d, n, hot, cold, bh, bc)
     else:
         p_0, v, transfer = solved = np.empty((3, n.size))
         for start in chunks:
             part = slice(start, start + _FLOW_CHUNK)
-            solved[:, part] = _close_splits(d, n[part], hot, cold, bh, bc, check_ends)
+            solved[:, part] = _close_splits(d, n[part], hot, cold, bh, bc)
     return _FlowSolution(d, n, p_0, v, transfer, hot, cold, bc <= bh)
 
 
-def _close_splits(d, n, hot, cold, bh, bc, check_ends):
+def _close_splits(d, n, hot, cold, bh, bc):
     """p_0, v and transfer of the splits in `n` from `_solve_flow_balance`'s
-    tables, each split's segment ends checked when check_ends is true."""
+    tables, each split's segment ends checked."""
     m = d - n
     top = max(bh, bc)
     at_m, at_n = hot[:, m], cold[:, n - 1]
@@ -283,18 +281,17 @@ def _close_splits(d, n, hot, cold, bh, bc, check_ends):
         p_0 = -close[1] / det
         v = close[0] / det
         transfer = v * top / ((1.0 + bh) * (1.0 + bc))
-        if check_ends:
-            # the [a; c] of p_0, p_m and p_{m+1} (backward) or p_{d-1} (forward)
-            coef = np.empty((2, 3, n.size))
-            coef[:, 0] = hot[:2, :1]
-            coef[:, 1] = end
-            if bc <= bh:
-                coef[:, 2] = before
-            else:
-                np.multiply(before[0], end, out=coef[:, 2])
-                coef[1, 2] -= before[1]
-            # p_0's end is 1*p_0 + 0*v, as its population is: non-finite when det == 0 or v is
-            _check_populations(coef[0] * p_0 + coef[1] * v)
+        # the [a; c] of p_0, p_m and p_{m+1} (backward) or p_{d-1} (forward)
+        coef = np.empty((2, 3, n.size))
+        coef[:, 0] = hot[:2, :1]
+        coef[:, 1] = end
+        if bc <= bh:
+            coef[:, 2] = before
+        else:
+            np.multiply(before[0], end, out=coef[:, 2])
+            coef[1, 2] -= before[1]
+        # p_0's end is 1*p_0 + 0*v, as its population is: non-finite when det == 0 or v is
+        _check_populations(coef[0] * p_0 + coef[1] * v)
     return p_0, v, transfer
 
 
@@ -307,11 +304,11 @@ def solve_catalyst_state(
     `boltz_hot`/`boltz_cold` are the excited-level Boltzmann factors
     exp(-beta*omega) of the hot and cold qubits.  The catalyst always exists
     (see `_solve_flow_balance`); rounding negatives no larger than
-    NEGATIVE_POPULATION_TOL are clipped to zero.  The populations, which hold
-    the solve's segment ends bit for bit, are built and checked once.
+    NEGATIVE_POPULATION_TOL are clipped to zero.  The populations are checked
+    elementwise.
     """
     boltz = _check_boltzmann(boltz_hot, boltz_cold)
-    flow = _solve_flow_balance(shape.d, [shape.n], *boltz, check_ends=False)
+    flow = _solve_flow_balance(shape.d, [shape.n], *boltz)
     with np.errstate(invalid="ignore", over="ignore"):  # a fault the check reports
         populations = flow.populations(0)
     return CatalystState(np.clip(populations, 0.0, None), flow.transfer[0])
@@ -362,21 +359,12 @@ def _heats(d, n, omega_h: float, omega_c: float, delta_p):
     return d * omega_h * delta_p, -n * omega_c * delta_p
 
 
-def _check_finite(values) -> None:
-    """Refuse a non-finite result, naming the first, with ConfigError (exit 2):
-    it cannot be written, so the parameters are out of range."""
-    values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
-        bad = values[~np.isfinite(values)][0]
-        raise ConfigError(f"result is not finite ({bad:.12g}) at these parameters")
-
-
 def _perm_report(shape: SimplePermSpec, omega_h, omega_c, delta_p: float) -> CycleReport:
     efficiency = _rational_efficiency(shape, omega_h, omega_c) if delta_p != 0.0 else None
     heats = _heats(shape.d, shape.n, omega_h, omega_c, delta_p)
     report = CycleReport.from_heats(*heats, efficiency=efficiency)
     # the heats have opposite signs, so the work is finite exactly when both are
-    _check_finite(report.work)
+    check_finite(report.work)
     return report
 
 
@@ -508,17 +496,18 @@ def _as_quality(value) -> Fraction:
 
     Strings keep their decimal meaning ('2.2' -> 11/5); floats go through
     repr for the same reason.  Pass Fractions directly when exactness
-    matters.  A ratio above the float range raises ValueError.
+    matters.  A ratio that is not a finite rational ('nan', 'inf', 'abc') or
+    lies above the float range raises ValueError.
     """
     if isinstance(value, Fraction):
         quality = value
-    elif isinstance(value, (str, int)):
+    elif isinstance(value, (str, int, float)):
         try:
-            quality = Fraction(value)
+            quality = Fraction(repr(value) if isinstance(value, float) else value)
         except ZeroDivisionError as exc:
             raise ValueError(f"d/n ratio {value!r} has a zero denominator") from exc
-    elif isinstance(value, float):
-        quality = Fraction(repr(value))
+        except ValueError as exc:
+            raise ValueError(f"d/n ratio {value!r} is not a rational number") from exc
     else:
         raise TypeError(f"cannot interpret {value!r} as a d/n ratio")
     if quality <= 0:
@@ -636,6 +625,6 @@ def fig_work_vs_cold_swaps(
     curve[:, 0] = n
     heat_hot, heat_cold = _heats(d, n, omega_h, omega_c, transfer)
     np.add(heat_hot, heat_cold, out=curve[:, 1])
-    _check_finite(curve[:, 1])
+    check_finite(curve[:, 1])
     curve[:, 2] = baseline
     return curve

@@ -11,11 +11,10 @@ physics invariant (a failed coherence check), 2 usage or configuration error
 (any other ValueError), non-finite result or a stdout that cannot be written
 (`-h` included), 3 no engine regime, 4 size or iteration guard exceeded or an
 internal fault (a RuntimeError).  A flow solve that yields a negative or
-non-finite catalyst is such a fault: a simple permutation's catalyst always
-exists, so the former exit 3 "infeasible catalyst" is now exit 4.  So is an
-`lp-bound` certificate whose residuals exceed _CERTIFICATE_TOL: it is never
-printed as optimal.  A failure prints one `error:` line and no stdout, except
-optimize's exit 3 (its JSON).
+non-finite catalyst is such a fault, since a simple permutation's catalyst
+always exists.  So is an `lp-bound` certificate whose residuals exceed
+_CERTIFICATE_TOL: it is never printed as optimal.  A failure prints one
+`error:` line and no stdout, except optimize's exit 3 (its JSON).
 `regime-map` exits 4 on a grid of more than `catalysis.MAX_REGIME_ROWS` CSV
 rows (resolution**2 * (2 + number of d/n ratios)), `report --simple` and
 `fig5` on a catalyst of more than `catalysis.MAX_FLOW_ENTRIES` blocks (one
@@ -50,7 +49,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -67,33 +65,27 @@ from .errors import (
 )
 
 
-def round12(value: float | None) -> float | None:
-    """Round to 12 significant digits (and normalise -0.0) for stable output.
-
-    A non-finite value cannot be emitted and raises ConfigError (exit 2).
-    """
-    if value is None:
-        return None
-    rounded = float(f"{float(value):.12g}")
-    if not math.isfinite(rounded):
-        raise ConfigError(f"result is not finite ({rounded}) at these parameters")
-    return 0.0 if rounded == 0.0 else rounded
-
-
 def fmt12(value: float | None) -> str:
-    """The text of round12(value) at 12 significant digits, in one format call."""
+    """The text of `value` at 12 significant digits, "0" for -0.0 and "" for
+    None, so emitted files are stable.  A non-finite value cannot be emitted:
+    `thermo.check_finite` refuses it with ConfigError (exit 2)."""
     if value is None:
         return ""
     text = f"{float(value):.12g}"
     if text in ("inf", "-inf", "nan"):
-        raise ConfigError(f"result is not finite ({text}) at these parameters")
+        thermo.check_finite(value)
     return "0" if text == "-0" else text
 
 
-def _emit(text: str | Iterable[str], output: str | None) -> None:
-    """Write a text, or an iterable of text chunks in order, to --output or to
-    stdout; an unwritable path raises ConfigError."""
-    chunks = (text,) if isinstance(text, str) else text
+def round12(value: float) -> float:
+    """The float of fmt12's text: `value` rounded to 12 significant digits,
+    -0.0 normalised to 0.0, a non-finite value refused as fmt12 refuses it."""
+    return float(fmt12(value))
+
+
+def _emit(chunks: Iterable[str], output: str | None) -> None:
+    """Write text chunks in order to --output or to stdout; an unwritable path
+    raises ConfigError."""
     if output is not None:
         try:
             with open(output, "w", encoding="utf-8") as handle:
@@ -285,7 +277,7 @@ def cmd_table24(args) -> int:
     for row in rows:
         image = "-".join(str(x) for x in row.perm.image)
         lines.append(f"{row.index},{image},{fmt12(row.work)},{fmt12(row.efficiency)}")
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(("\n".join(lines) + "\n",), args.output)
     return 0
 
 
@@ -409,6 +401,8 @@ def cmd_coherence_check(args) -> int:
         raise ConfigError("--catalyst-dims expects comma-separated integers") from exc
     if args.trials < 1 or not dims or min(dims) < 1:
         raise ConfigError("--trials and --catalyst-dims must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
     result = coherence.run_coherence_suite(args.trials, args.seed, dims)
     payload = {
         "trials": result.trials,
@@ -532,12 +526,10 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "--perm", metavar="IMAGE", help="'identity' or explicit image list, e.g. 0,2,1,3"
     )
-    report.add_argument("--output")
     report.set_defaults(func=cmd_report)
 
     table = sub.add_parser("table24", help="all 24 qubit permutation strokes as CSV")
     add_engine_arguments(table)
-    table.add_argument("--output")
     table.set_defaults(func=cmd_table24)
 
     optimize = sub.add_parser("optimize", help="exhaustive non-catalytic optimisation")
@@ -545,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--objective", choices=("efficiency", "work"), default="efficiency"
     )
-    optimize.add_argument("--output")
     optimize.set_defaults(func=cmd_optimize)
 
     regime = sub.add_parser("regime-map", help="operating-regime grid as CSV")
@@ -557,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     regime.add_argument("--freq-ratio-min", type=float, default=0.05)
     regime.add_argument("--freq-ratio-max", type=float, default=2.0)
     regime.add_argument("--resolution", type=int, default=50)
-    regime.add_argument("--output")
     regime.set_defaults(func=cmd_regime_map)
 
     fig5 = sub.add_parser(
@@ -569,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--ratio", type=float, default=8.0, help="(beta_c*omega_c)/(beta_h*omega_h)"
     )
     fig5.add_argument("--freq-ratio", type=float, default=0.5, help="omega_c/omega_h")
-    fig5.add_argument("--output")
     fig5.set_defaults(func=cmd_fig5)
 
     bound = sub.add_parser("lp-bound", help="LP upper bound on catalytic work")
@@ -579,16 +568,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--catalyst-populations",
         help="comma list of catalyst populations (default: uniform)",
     )
-    bound.add_argument("--output")
     bound.set_defaults(func=cmd_lp_bound)
 
     check = sub.add_parser("coherence-check", help="randomised catalyst-coherence suite")
     check.add_argument("--trials", type=int, default=200)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--catalyst-dims", default="2,3")
-    check.add_argument("--output")
     check.set_defaults(func=cmd_coherence_check)
 
+    for command in sub.choices.values():
+        command.add_argument("--output")
     parser.commands = sub.choices
     return parser
 

@@ -21,7 +21,6 @@ so the suite's results do not depend on how its trials are chunked.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,13 +40,6 @@ MAX_SUITE_CATALYST_DIM = 128
 # (4d)^2 stroke-matrix entries a chunk holds over its original and rotated
 # strokes: about 20 trials at d = 2 or 3, one trial a chunk from d = 11 on
 _CHUNK_ENTRIES = 2**12
-
-
-@functools.lru_cache(maxsize=16)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.setflags(write=False)
-    return eye
 
 
 def _diagonal(stack: np.ndarray) -> np.ndarray:
@@ -185,7 +177,7 @@ def _unitary_defect(unitary: np.ndarray) -> np.ndarray:
 
 def _rotate(unitary: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     """R^dagger U R for R = rotation x 1 on the hot and cold factors."""
-    rotation_full = _kron(rotation, _identity(unitary.shape[-1] // rotation.shape[-1]))
+    rotation_full = _kron(rotation, np.eye(unitary.shape[-1] // rotation.shape[-1]))
     return _adjoint(rotation_full) @ unitary @ rotation_full
 
 
@@ -388,11 +380,11 @@ def _build_family(family: str, draws: list[_EngineDraw]) -> tuple[np.ndarray, np
         local = _haar_unitaries(np.concatenate([draw.local for draw in draws]))
     if family == "hc_local":
         rho = _wishart(np.array([draw.catalyst for draw in draws]))
-        return rho, _kron(_identity(rho.shape[-1]), local)
+        return rho, _kron(np.eye(rho.shape[-1]), local)
     basis = _haar_unitaries(np.array([draw.catalyst for draw in draws]))
     spectrum = np.array([draw.spectrum for draw in draws])
     rho = (basis * spectrum[:, None, :]) @ _adjoint(basis)
-    basis_full = _kron(basis, _identity(rest))
+    basis_full = _kron(basis, np.eye(rest))
     if family == "block_rotation":
         spread = basis_full @ _block_diagonal(local.reshape(count, -1, rest, rest))
     else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CyclicityError
+from .errors import ConfigError, CyclicityError
 
 CONSERVATION_TOL = 1e-12
 CYCLICITY_TOL = 1e-9
@@ -98,6 +98,16 @@ def dimensionless_engine(
     if not all(0.0 < x < math.inf for x in (bh_wh, bc_wc, freq_ratio)):
         raise ValueError("dimensionless parameters must be positive and finite")
     return 1.0, freq_ratio, InverseTemperaturePair(bh_wh, bc_wc / freq_ratio)
+
+
+def check_finite(values) -> None:
+    """Refuse a non-finite result, a float or an array, naming the first with
+    ConfigError (exit 2): it cannot be written, so the parameters are out of
+    range."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        bad = values[~np.isfinite(values)][0]
+        raise ConfigError(f"result is not finite ({bad:.12g}) at these parameters")
 
 
 def _as_probability_vector(values, name: str) -> np.ndarray:

@@ -198,9 +198,9 @@ class TestSolveCatalystState:
             near = ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
             assert near.delta_p == limit.delta_p
 
-    def test_one_split_builds_and_checks_its_populations_once(self, monkeypatch, rng):
-        # the populations hold the solve's checked ends bit for bit, so the
-        # one-split path checks them alone, and gives the batched solve's bits
+    def test_one_split_checks_its_populations(self, monkeypatch, rng):
+        # the solve checks the split's segment ends, then the populations are
+        # checked elementwise, and the one-split path gives the batched solve's bits
         checked = []
         check = catalysis._check_populations
         monkeypatch.setattr(
@@ -212,7 +212,7 @@ class TestSolveCatalystState:
             boltz_cold = float(rng.uniform(0.0, 0.99)) if i % 3 else 0.0
             checked.clear()
             state = ts.solve_catalyst_state(shape, boltz_hot, boltz_cold)
-            assert len(checked) == 1 and checked[0].shape == (shape.d,)
+            assert [values.shape for values in checked] == [(3, 1), (shape.d,)]
             n, pops, transfer = solve_splits(shape.d, [shape.n], boltz_hot, boltz_cold)
             assert np.array_equal(state.populations, np.clip(pops[0], 0.0, None))
             assert state.delta_p == transfer[0]
@@ -824,6 +824,10 @@ class TestRegimeMap:
             (0, ValueError, "must be positive"),
             ("1/0", ValueError, "zero denominator"),
             ("1e400", ValueError, "exceeds the float range"),
+            ("nan", ValueError, "d/n ratio 'nan' is not a rational number"),
+            ("inf", ValueError, "d/n ratio 'inf' is not a rational number"),
+            ("abc", ValueError, "d/n ratio 'abc' is not a rational number"),
+            (math.nan, ValueError, "d/n ratio nan is not a rational number"),
         ],
     )
     def test_quality_refusals(self, value, error, message):

@@ -602,6 +602,16 @@ class TestRegimeMap:
         assert (code, out) == (2, "")
         assert err == "error: d/n ratio '1/0' has a zero denominator\n"
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "abc"])
+    def test_ratio_that_is_not_rational(self, capsys, ratio):
+        # named as the ratio it is, by the CLI and by the library alike
+        message = f"d/n ratio {ratio!r} is not a rational number"
+        code, out, err = run_cli(capsys, "regime-map", "--d-over-n", ratio)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        with pytest.raises(ValueError) as info:
+            catalysis.regime_map([ratio], (1.01, 2.0), (0.05, 2.0), 2)
+        assert str(info.value) == message
+
 
 class TestFig5:
     def test_default_curve(self, capsys):
@@ -971,6 +981,10 @@ class TestCoherenceCheck:
         assert payload["trials"] == 10
         assert payload["max_heat_mismatch"] <= 1e-10
         assert payload["max_cyclicity_residual"] <= 1e-10
+
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "coherence-check", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: --seed must be a non-negative integer\n")
 
     def test_seed_fixes_output(self, capsys):
         _, first, _ = run_cli(capsys, "coherence-check", "--trials", "8", "--seed", "11")
@@ -1416,6 +1430,17 @@ def served_argv():
         argvs += workloads.cli_calls(workloads.cli_input(rng))
         argvs.append(workloads.regime_argv(workloads.regime_input(rng)))
     return argvs
+
+
+def test_served_argv_bytes_are_pinned(capsys):
+    # one digest over (argv, exit code, stdout, stderr) of every served call,
+    # so a refactor that moves one byte of them fails here
+    digest = hashlib.sha256()
+    for argv in served_argv():
+        digest.update(json.dumps([argv, *run_cli(capsys, *argv)]).encode())
+    assert digest.hexdigest() == (
+        "3b6a503233f7a003cbaab5de8fb0c5dfc67fd63e729157ce5e9e33a5e66e0d3d"
+    )
 
 
 @pytest.mark.parametrize("argv", served_argv(), ids=lambda argv: " ".join(argv))

@@ -28,6 +28,8 @@ def test_each_engine_rule_has_one_owner():
         "level spacings must be positive and finite",
         "dimensionless parameters must be positive",
         "1.0 + heat_cold / heat_hot",
+        "result is not finite",
+        'add_argument("--output"',
     ):
         assert sum(source.count(text) for source in sources.values()) == 1, text
 
@@ -59,3 +61,23 @@ def test_every_private_name_is_used():
     assert sorted(private - used) == sorted(TEST_ONLY)
     tests = "".join(path.read_text() for path in Path(__file__).parent.glob("test_*.py"))
     assert all(f".{name}(" in tests for name in TEST_ONLY)
+
+
+def test_every_import_is_used():
+    # a removal that leaves a module-level import behind fails here
+    for path in Path(ts.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        assert sorted(imported - used) == [], path.name
