@@ -16,12 +16,12 @@ equations.  Each is a two-term recurrence between neighbouring blocks, so
 one table of powers per segment and its prefix sums, each split closed by a
 2x2 system, solve them for every (d - n, n) split of one d at one parameter
 point in O(d) work, a fixed-size chunk of splits at a time; a split's d
-populations are built only when a caller asks for them.  `delta_p_closed_form` gives the same transfer in closed form
-away from its poles.  Where the work is positive needs no solve at all: exactly
-inside the window max(1, omega_c/omega_h) < d/n <
-beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a grid
-and which also decides `optimal_simple_perm_efficiency` and, as the
-simplest rational between its exact ends for any d, `feasible_quality`.
+populations are built only when a caller asks for them.  `delta_p_closed_form`
+gives the same transfer in closed form away from its poles.  Where the work is
+positive needs no solve at all: exactly inside the window max(1, omega_c/omega_h)
+< d/n < beta_c*omega_c/(beta_h*omega_h), which `regime_map` evaluates over a
+grid and whose exact ends decide `optimal_simple_perm_efficiency` and, as the
+simplest rational between them for any d, `feasible_quality`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .thermo import (
 
 NEGATIVE_POPULATION_TOL = 1e-12
 MAX_REGIME_ROWS = 10**7  # regime-map CSV rows, points x regions: ~175 MB to render
-# Entries a flow solve materialises: d per split or fig5 curve, d^2 per sweep.
+# Entries a flow solve materialises: d per split or per fig5 curve; a sweep returns d^2.
 # fig5 peaks at about 100 bytes per row (VmHWM 430 MB at the cap, 30 MB of it
 # the interpreter), mostly the solve's two (4, d + 1) tables.
 MAX_FLOW_ENTRIES = 2**22
@@ -116,7 +116,7 @@ def build_simple_perm(shape: SimplePermSpec) -> PermutationMap:
     transpositions, so the result is an involution.
     """
     d = shape.d
-    if 4 * d > 2**22:
+    if 4 * d > MAX_FLOW_ENTRIES:
         raise GuardExceededError(f"catalyst dimension {d} too large to materialise")
     image = list(range(4 * d))
 
@@ -159,16 +159,20 @@ class _FlowSolution(NamedTuple):
         """The d unclipped populations of split k, checked elementwise."""
         n = int(self.n[k])
         m = self.d - n
-        hot, cold = self.hot, self.cold
-        if self.backward:
-            rest = cold[:2, n - 1 : 0 : -1]
-        else:
-            rest = cold[0, 1:n] * hot[:2, m, None]
-            rest[1] -= cold[1, 1:n]
+        hot, steps = self.hot, self.cold[:2, 1:n]
+        rest = steps[:, ::-1] if self.backward else _forward(steps, hot[:2, m, None])
         coef = np.concatenate((hot[:2, : m + 1], rest), axis=1)
         pops = coef[0] * self.p_0[k] + coef[1] * self.v[k]
         _check_populations(pops)
         return pops
+
+
+def _forward(steps: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """[a; c] of p_{m+j} = r^j*p_m - R_j*v, the forward cold segment, from
+    steps [r^j; R_j] and p_m's [a; c]; linear, so it maps sums to sums."""
+    coef = steps[0] * end
+    coef[1] -= steps[1]
+    return coef
 
 
 def _check_populations(pops: np.ndarray) -> None:
@@ -271,11 +275,9 @@ def _close_splits(d, n, hot, cold, bh, bc):
         sums += steps
         close = end - last
     else:
-        sums[0] += end[0] * steps[0]
-        sums[1] += end[1] * steps[0] - steps[1]
-        close = last[0] * end
+        sums += _forward(steps, end)
+        close = _forward(last, end)
         close[0] -= 1.0
-        close[1] -= last[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = close[0] * sums[1] - close[1] * sums[0]
         p_0 = -close[1] / det
@@ -285,11 +287,7 @@ def _close_splits(d, n, hot, cold, bh, bc):
         coef = np.empty((2, 3, n.size))
         coef[:, 0] = hot[:2, :1]
         coef[:, 1] = end
-        if bc <= bh:
-            coef[:, 2] = before
-        else:
-            np.multiply(before[0], end, out=coef[:, 2])
-            coef[1, 2] -= before[1]
+        coef[:, 2] = before if bc <= bh else _forward(before, end)
         # p_0's end is 1*p_0 + 0*v, as its population is: non-finite when det == 0 or v is
         _check_populations(coef[0] * p_0 + coef[1] * v)
     return p_0, v, transfer
@@ -337,15 +335,17 @@ def delta_p_closed_form(
     return norm * (ah ** (m + n) - ac**n) / scale
 
 
-def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) -> float:
-    eta = 1 - Fraction(shape.n) * Fraction(float(omega_c)) / (
-        Fraction(shape.d) * Fraction(float(omega_h))
-    )
+def _float(value: Fraction) -> float:
+    """float(value), or the infinity of its sign beyond the float range."""
     try:
-        return float(eta)
+        return float(value)
     except OverflowError:
-        # eta < 1, so it can leave the float range only downwards
-        return -math.inf
+        return math.inf if value > 0 else -math.inf
+
+
+def _rational_efficiency(shape: SimplePermSpec, omega_h: float, omega_c: float) -> float:
+    w_h, w_c = Fraction(float(omega_h)), Fraction(float(omega_c))
+    return _float(1 - shape.n * w_c / (shape.d * w_h))
 
 
 def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> tuple[float, float]:
@@ -357,15 +357,6 @@ def _qubit_boltzmann(omega_h: float, omega_c: float, beta) -> tuple[float, float
 def _heats(d, n, omega_h: float, omega_c: float, delta_p):
     """(Q_h, Q_c) = (d*omega_h, -n*omega_c) * delta_p, for numbers or arrays."""
     return d * omega_h * delta_p, -n * omega_c * delta_p
-
-
-def _perm_report(shape: SimplePermSpec, omega_h, omega_c, delta_p: float) -> CycleReport:
-    efficiency = _rational_efficiency(shape, omega_h, omega_c) if delta_p != 0.0 else None
-    heats = _heats(shape.d, shape.n, omega_h, omega_c, delta_p)
-    report = CycleReport.from_heats(*heats, efficiency=efficiency)
-    # the heats have opposite signs, so the work is finite exactly when both are
-    check_finite(report.work)
-    return report
 
 
 def simple_perm_report(
@@ -385,7 +376,12 @@ def simple_perm_report(
     """
     omega_h, omega_c = float(omega_h), float(omega_c)
     catalyst = solve_catalyst_state(shape, *_qubit_boltzmann(omega_h, omega_c, beta))
-    return _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst
+    efficiency = _rational_efficiency(shape, omega_h, omega_c) if catalyst.delta_p != 0.0 else None
+    heats = _heats(shape.d, shape.n, omega_h, omega_c, catalyst.delta_p)
+    report = CycleReport.from_heats(*heats, efficiency=efficiency)
+    # the heats have opposite signs, so the work is finite exactly when both are
+    check_finite(report.work)
+    return report, catalyst
 
 
 def sweep_simple_perms(
@@ -394,26 +390,18 @@ def sweep_simple_perms(
     omega_c: float,
     beta: InverseTemperaturePair,
 ) -> list[tuple[SimplePermSpec, CycleReport, CatalystState]]:
-    """Reports for all d splits (d - n, n) of a d-block catalyst, n = 1..d,
-    from one flow solve over all splits; each split's populations are built
-    in turn and clipped as in `solve_catalyst_state`.  More than
-    MAX_FLOW_ENTRIES populations, d**2, raise GuardExceededError (exit 4)
-    before the solve; overflowing heats raise ConfigError as in
-    `simple_perm_report`.
+    """`simple_perm_report` of every split (d - n, n) of a d-block catalyst,
+    n = 1..d, and [] for d < 1.  Bad spacings or Boltzmann factors raise
+    ValueError first, then the d**2 populations the sweep returns raise
+    GuardExceededError (exit 4) above MAX_FLOW_ENTRIES, before any solve.
     """
     d = int(catalyst_dim)
     if d < 1:
         return []
-    omega_h, omega_c = float(omega_h), float(omega_c)
-    boltz = _qubit_boltzmann(omega_h, omega_c, beta)
+    _qubit_boltzmann(float(omega_h), float(omega_c), beta)
     _check_flow_entries(d * d)
-    flow = _solve_flow_balance(d, np.arange(1, d + 1), *boltz)
-    out = []
-    for k, (n, delta_p) in enumerate(zip(flow.n.tolist(), flow.transfer)):
-        shape = SimplePermSpec(d - n, n)
-        catalyst = CatalystState(np.clip(flow.populations(k), 0.0, None), delta_p)
-        out.append((shape, _perm_report(shape, omega_h, omega_c, catalyst.delta_p), catalyst))
-    return out
+    shapes = [SimplePermSpec(d - n, n) for n in range(1, d + 1)]
+    return [(shape, *simple_perm_report(shape, omega_h, omega_c, beta)) for shape in shapes]
 
 
 def optimal_simple_perm_efficiency(
@@ -424,20 +412,19 @@ def optimal_simple_perm_efficiency(
 ) -> float:
     """Best engine efficiency over simple permutations of a d-block catalyst.
 
-    Requires omega_c/omega_h <= d <= beta_c*omega_c/(beta_h*omega_h), the
-    window in which the single-cold-swap ladder runs below the Carnot bound;
-    the optimum is then 1 - omega_c/(d*omega_h).  The efficiency
-    1 - n*omega_c/(d*omega_h) falls as n grows and the (d - 1, 1) ladder runs
-    wherever its d/1 lies in `_catalytic_window`, so the ladder is the
-    optimum by construction.  At d = beta_c*omega_c/(beta_h*omega_h) it sits
-    at the Carnot limit with zero work.
+    Requires omega_c/omega_h <= d <= beta_c*omega_c/(beta_h*omega_h), read
+    exactly from `_engine_window` (else ValueError): the window in which the
+    single-cold-swap ladder runs below the Carnot bound, with optimum
+    1 - omega_c/(d*omega_h).  The efficiency 1 - n*omega_c/(d*omega_h) falls
+    as n grows and the (d - 1, 1) ladder runs wherever its d/1 lies in
+    `_catalytic_window`, so the ladder is the optimum by construction.  At
+    d = beta_c*omega_c/(beta_h*omega_h) it sits at the Carnot limit with zero work.
     """
     d = int(catalyst_dim)
     lower, upper = _engine_window(omega_h, omega_c, beta)
     if not (lower <= d <= upper):
-        raise ValueError(
-            f"catalyst dimension {d} outside the admissible window [{lower:.6g}, {upper:.6g}]"
-        )
+        ends = ", ".join(f"{_float(end):.6g}" for end in (lower, upper))
+        raise ValueError(f"catalyst dimension {d} outside the admissible window [{ends}]")
     return _rational_efficiency(SimplePermSpec(d - 1, 1), omega_h, omega_c)
 
 
@@ -453,11 +440,12 @@ def _catalytic_window(quality, freq_ratio, exponent_ratio):
     return (np.maximum(1.0, freq_ratio) < quality) & (quality < exponent_ratio)
 
 
-def _engine_window(omega_h: float, omega_c: float, beta, number=float):
-    """Validated d/n window ends of `_catalytic_window`; number=Fraction gives them exactly."""
+def _engine_window(omega_h: float, omega_c: float, beta) -> tuple[Fraction, Fraction]:
+    """Validated d/n window ends of `_catalytic_window`, max(1, omega_c/omega_h) and
+    beta_c*omega_c/(beta_h*omega_h), exact Fractions of the float inputs."""
     check_spacings(omega_h, omega_c)
-    w_h, w_c, b_h, b_c = (number(float(x)) for x in (omega_h, omega_c, beta.beta_h, beta.beta_c))
-    return max(number(1), w_c / w_h), b_c * w_c / (b_h * w_h)
+    w_h, w_c, b_h, b_c = (Fraction(float(x)) for x in (omega_h, omega_c, beta.beta_h, beta.beta_c))
+    return max(Fraction(1), w_c / w_h), b_c * w_c / (b_h * w_h)
 
 
 def _simplest_between(low: Fraction, high: Fraction) -> Fraction:
@@ -482,7 +470,7 @@ def feasible_quality(
     of an end (in (1.5, 1.5*(1 + 1e-9)) at 499999961/333333307).  An empty
     window raises NoEngineRegimeError; deep work may underflow to 0.0.
     """
-    low, high = _engine_window(omega_h, omega_c, beta, Fraction)
+    low, high = _engine_window(omega_h, omega_c, beta)
     if not high > low:  # then 0 < high <= low = 1, as beta_c > beta_h
         raise NoEngineRegimeError(
             f"no engine regime: d/n window ({float(low):.6g}, {float(high):.6g}) is empty"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 import warnings
@@ -341,16 +343,18 @@ class TestFlowBalanceSolver:
     def test_positivity_census(self):
         # every split of random d < 300, with beta_h*omega_h and
         # beta_c*omega_c log-uniform in [e^-8, 740] (either Boltzmann factor
-        # may be the larger): the solve never faults and no split is lost
+        # may be the larger): the all-split solve never faults, every split's
+        # populations pass the elementwise check and no split is lost
         rng = np.random.default_rng(15)
         beta = ts.InverseTemperaturePair(1.0, 2.0)  # omega = exponent / beta
         for _ in range(400):
             d = int(rng.integers(1, 300))
             hot_exponent, cold_exponent = np.exp(rng.uniform(-8.0, math.log(740.0), size=2))
-            swept = ts.sweep_simple_perms(d, hot_exponent, cold_exponent / 2.0, beta)
-            assert [(shape.m, shape.n) for shape, _, _ in swept] == [
-                (d - n, n) for n in range(1, d + 1)
-            ]
+            boltz = catalysis._qubit_boltzmann(hot_exponent, cold_exponent / 2.0, beta)
+            flow = catalysis._solve_flow_balance(d, np.arange(1, d + 1), *boltz)
+            for k in range(d):
+                flow.populations(k)
+            assert flow.n.tolist() == list(range(1, d + 1))
 
     def test_fault_raises_through_the_real_check(self, monkeypatch):
         # every population of a d > 1 catalyst is below 1, so a tolerance of
@@ -606,6 +610,73 @@ class TestOptimalSimplePermEfficiency:
     def test_nonpositive_spacings_rejected(self):
         with pytest.raises(ValueError, match="spacings"):
             ts.optimal_simple_perm_efficiency(2, -1.0, -1.5, self.BETA)
+
+    @pytest.mark.parametrize(
+        "d, omega_h, omega_c, beta_h, beta_c, window",
+        [
+            # d lies just above beta_c*omega_c/(beta_h*omega_h), whose float rounds to 7.0
+            (
+                7, 0.9677471780157282, 0.8343549151279704, 1.0196549632533787,
+                8.278704143077874, "[1, 7]",
+            ),
+            # d lies just below omega_c/omega_h, whose float rounds down to 10.0
+            (10, 1.5798640752630395, 15.798640752630396, 1.0, 20.0, "[10, 200]"),
+            # ends above the float range are printed as inf
+            (2, 1e-300, 1e300, 1.0, 2.0, "[inf, inf]"),
+        ],
+    )
+    def test_window_ends_are_exact(self, d, omega_h, omega_c, beta_h, beta_c, window):
+        beta = ts.InverseTemperaturePair(beta_h, beta_c)
+        with pytest.raises(ValueError) as info:
+            ts.optimal_simple_perm_efficiency(d, omega_h, omega_c, beta)
+        assert str(info.value) == (
+            f"catalyst dimension {d} outside the admissible window {window}"
+        )
+
+    def test_window_end_below_the_float_range(self):
+        # beta_h*omega_h = 1e-400 is 0.0 as a float; the exact upper end is 1e200
+        beta = ts.InverseTemperaturePair(1e-200, 1.0)
+        assert ts.optimal_simple_perm_efficiency(2, 1e-200, 1e-200, beta) == 0.5
+
+
+class TestSweepSimplePerms:
+    def test_output_is_pinned(self):
+        # one digest over every split's shape, populations, transfer and
+        # report, with the cold segment backward, forward and at bc = 0
+        # (beta_c*omega_c = 800 underflows exp)
+        digest = hashlib.sha256()
+        for omega_c, beta_c in ((0.7, 2.0), (0.3, 2.0), (1.0, 800.0)):
+            beta = ts.InverseTemperaturePair(1.0, beta_c)
+            for d in (1, 2, 5, 40, 300):
+                for shape, report, catalyst in ts.sweep_simple_perms(d, 1.0, omega_c, beta):
+                    fields = [shape.m, shape.n, catalyst.delta_p.hex(), report.to_dict()]
+                    digest.update(json.dumps(fields).encode())
+                    digest.update(catalyst.populations.tobytes())
+        assert digest.hexdigest() == (
+            "debf96841eb1afc8e5a371cb7fd0dc6d7492ef419f983200835fa327d01c7927"
+        )
+
+    @pytest.mark.parametrize(
+        "omega_h, error, message",
+        [
+            (-1.0, ValueError, "level spacings must be positive and finite"),
+            (800.0, ValueError, "boltz_hot must lie strictly between 0 and 1"),
+            (
+                1.0,
+                ts.GuardExceededError,
+                "flow solve of 25000000 catalyst populations exceeds the cap 4194304",
+            ),
+        ],
+    )
+    def test_refusals_in_order(self, omega_h, error, message):
+        # at d = 5000 the spacings and Boltzmann factors are refused ahead of the d**2 guard
+        with pytest.raises(error) as info:
+            ts.sweep_simple_perms(5000, omega_h, 0.5, ts.InverseTemperaturePair(1.0, 2.0))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_no_splits_below_one_block(self, d):
+        assert ts.sweep_simple_perms(d, -1.0, 0.5, ts.InverseTemperaturePair(1.0, 2.0)) == []
 
 
 class TestFeasibleQuality:

@@ -1457,3 +1457,12 @@ def test_exact_parse_serves_benchmark_and_readme_argv(monkeypatch, capsys, argv)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
     assert TestDispatch.outcome(monkeypatch, capsys, argv)[3] == [vars(expected)]
+
+
+@pytest.mark.parametrize("value, name", [(object(), "object"), ({1}, "set")])
+def test_json_parts_refuses_what_json_refuses(value, name):
+    with pytest.raises(TypeError) as info:
+        cli._json_parts(value, "\n", [])
+    assert str(info.value) == f"Object of type {name} is not JSON serializable"
+    with pytest.raises(TypeError, match=str(info.value)):
+        json.dumps(value)

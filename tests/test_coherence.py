@@ -508,3 +508,19 @@ class TestFailureBranches:
         value = float(str(caught.value).split()[-1])
         assert str(caught.value) == f"cyclicity did not transfer: residual {value:.3e}"
         assert value > coherence.CYCLICITY_MATCH_TOL
+
+
+@pytest.mark.parametrize(
+    "rho, unitary, message",
+    [
+        (np.zeros((2, 3)), np.eye(8), "catalyst state must be square"),
+        (np.eye(2) / 2, np.zeros((8, 7)), "stroke unitary must be square"),
+    ],
+)
+def test_decohere_shape_refusals(rho, unitary, message):
+    beta = ts.InverseTemperaturePair(1.0, 2.0)
+    with pytest.raises(ValueError) as info:
+        ts.decohere_catalyst_construction(
+            rho, unitary, ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5), beta
+        )
+    assert str(info.value) == message

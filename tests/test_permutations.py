@@ -467,3 +467,20 @@ class TestEfficiencyOrdering:
             for row in rows:
                 if row.work > 1e-12:
                     assert 0.0 < row.efficiency < beta.carnot_efficiency + 1e-12
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ts.PermutationMap((1, 0)).compose(ts.PermutationMap((0, 1, 2))), "size mismatch"),
+        (lambda: ts.PermutationMap((1, 0)).apply_to(np.ones(3)), "size mismatch"),
+        (
+            lambda: ts.passive_populations([0.2, 0.3, 0.5], ts.Spectrum.qubit(1.0)),
+            "population vector does not match the spectrum",
+        ),
+    ],
+)
+def test_refusals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

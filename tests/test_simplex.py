@@ -327,3 +327,17 @@ class TestFirstPhaseOnePivot:
         assert result.value == 0.0
         assert result.x.tolist() == [0.0, 0.0]
         assert result.iterations == 0
+
+
+@pytest.mark.parametrize(
+    "objective, constraints, rhs, message",
+    [
+        ([1.0], [1.0], [1.0], "constraints must be a matrix"),
+        ([1.0, 2.0], [[1.0]], [1.0], "objective/rhs shapes do not match the constraints"),
+        ([1.0], [[1.0]], [1.0, 2.0], "objective/rhs shapes do not match the constraints"),
+    ],
+)
+def test_shape_refusals(objective, constraints, rhs, message):
+    with pytest.raises(ValueError) as info:
+        simplex.simplex_solve(objective, constraints, rhs)
+    assert str(info.value) == message

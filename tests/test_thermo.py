@@ -401,3 +401,27 @@ def test_combined_spectrum_order():
         ts.Spectrum.trivial(2), ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5)
     )
     assert combined.levels == (0.0, 0.5, 1.0, 1.5, 0.0, 0.5, 1.0, 1.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ts.Spectrum(()), ValueError, "a spectrum needs at least one level"),
+        (
+            lambda: ts.PopulationVector(np.full((2, 2), 0.25), (1, 2, 2)),
+            ValueError,
+            "populations must be a one-dimensional probability vector",
+        ),
+        (lambda: ts.PopulationVector([1.0], (1, 1)), ValueError, "bad basis shape (1, 1)"),
+        (
+            # -beta*E overflows to inf and the shift by the maximum gives nan
+            lambda: ts.gibbs_populations(ts.Spectrum((0.0, -1e308, -1e308)), 10.0),
+            OverflowError,
+            "beta-energy overflow",
+        ),
+    ],
+)
+def test_refusals(call, error, message):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
