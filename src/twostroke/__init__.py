@@ -22,11 +22,7 @@ from .catalysis import (
     solve_catalyst_state,
     sweep_simple_perms,
 )
-from .coherence import (
-    decohere_catalyst_construction,
-    dephase,
-    run_coherence_suite,
-)
+from .coherence import decohere_catalyst_construction, run_coherence_suite
 from .errors import (
     CoherenceCheckError,
     ConfigError,
@@ -84,7 +80,6 @@ __all__ = [
     "combined_spectrum",
     "decohere_catalyst_construction",
     "delta_p_closed_form",
-    "dephase",
     "ergotropy",
     "feasible_quality",
     "fig_work_vs_cold_swaps",

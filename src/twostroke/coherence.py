@@ -16,7 +16,9 @@ eigendecomposition per catalyst, then one evaluation pass over the original
 states and strokes and one over the decohered states and rotated strokes.
 The one-engine functions are the one-trial case of the same kernels, and
 every stacked numpy call computes each matrix as the one-matrix call would,
-so the suite's results do not depend on how its trials are chunked.
+so the suite's results do not depend on how its trials are chunked.  A failed
+check raises from the first stack it is found in; later stacks are not
+evaluated.
 """
 
 from __future__ import annotations
@@ -63,22 +65,9 @@ def _square(matrix: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must be finite")
     return m
-
-
-def dephase(rho: np.ndarray, spectrum: Spectrum) -> np.ndarray:
-    """Zero every matrix element between levels of distinct energy.
-
-    For a nondegenerate spectrum this is the diagonal part; degenerate
-    blocks (energies equal within 1e-12) are left untouched.  Diagonal
-    entries, and hence the trace, are preserved exactly.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    energies = spectrum.energies()
-    if rho.shape != (energies.size, energies.size):
-        raise ValueError("state does not match the spectrum")
-    same_energy = np.abs(energies[:, None] - energies[None, :]) <= 1e-12
-    return np.where(same_energy, rho, 0.0)
 
 
 def catalyst_marginal_matrix(rho: np.ndarray, catalyst_dim: int) -> np.ndarray:
@@ -185,15 +174,14 @@ def _decohere_stack(
     rho_catalyst: np.ndarray,
     unitary: np.ndarray,
     engines: list[tuple[Spectrum, Spectrum, InverseTemperaturePair]],
-) -> list:
+) -> list[tuple[tuple[float, float], tuple[float, float], float, float]]:
     """Decohere a stack of engines that share their catalyst and hot-cold sizes.
 
     `engines` holds each engine's (hot Hamiltonian, cold Hamiltonian, beta).
-    Returns, per engine in stack order, either ((Q_h, Q_c), (rotated Q_h,
-    rotated Q_c), heat mismatch, catalyst-marginal residual), or the first
-    error the engine fails with: the catalyst-state checks, the unitarity
-    check, then the two CoherenceCheckErrors, as decohere_catalyst_construction
-    raises them.
+    Returns, per engine in stack order, ((Q_h, Q_c), (rotated Q_h, rotated
+    Q_c), heat mismatch, catalyst-marginal residual).  Checks the engines in
+    stack order, each one's catalyst state, then its unitarity, then the two
+    CoherenceCheckErrors, and raises the first failure; a NaN passes no check.
     """
     catalyst_dim = rho_catalyst.shape[1]
     hermitian_defect = np.abs(rho_catalyst - _adjoint(rho_catalyst)).max(axis=(-2, -1))
@@ -206,34 +194,27 @@ def _decohere_stack(
         _diagonal_matrices(np.clip(values, 0.0, None)), _rotate(unitary, rotation), baths
     )
 
-    checks = zip(
-        hermitian_defect.tolist(),
-        trace.tolist(),
-        values.min(axis=-1).tolist(),
-        unitary_defect.tolist(),
-    )
-    heats = zip(*(part.tolist() for part in original + decohered))
-    outcomes = []
-    for (defect, tr, low, u_defect), (hot, cold, residual, hot_r, cold_r, residual_r) in zip(
-        checks, heats
+    # np.maximum keeps a NaN heat, which max(0.0, nan) would drop
+    mismatch = np.maximum(abs(original[0] - decohered[0]), abs(original[1] - decohered[1]))
+    checks = (hermitian_defect, trace, values.min(axis=-1), unitary_defect, mismatch)
+    results = []
+    for defect, tr, low, u_defect, gap, hot, cold, residual, hot_r, cold_r, residual_r in zip(
+        *(part.tolist() for part in checks + original + decohered)
     ):
-        mismatch = max(abs(hot - hot_r), abs(cold - cold_r))
-        if defect > DENSITY_TOL:
-            outcome = ValueError("catalyst state is not Hermitian")
-        elif abs(tr.real - 1.0) > TRACE_TOL or abs(tr.imag) > TRACE_TOL:
-            outcome = ValueError("catalyst state must have unit trace")
-        elif low < -DENSITY_TOL:
-            outcome = ValueError(f"catalyst state is not positive semidefinite ({low:.3e})")
-        elif u_defect > UNITARY_TOL:
-            outcome = ValueError(f"stroke unitary is not unitary (defect {u_defect:.3e})")
-        elif mismatch > HEAT_MATCH_TOL:
-            outcome = CoherenceCheckError(f"decohered engine heats differ by {mismatch:.3e}")
-        elif residual <= CYCLICITY_MATCH_TOL and residual_r > CYCLICITY_MATCH_TOL:
-            outcome = CoherenceCheckError(f"cyclicity did not transfer: residual {residual_r:.3e}")
-        else:
-            outcome = ((hot, cold), (hot_r, cold_r), mismatch, residual)
-        outcomes.append(outcome)
-    return outcomes
+        if not defect <= DENSITY_TOL:
+            raise ValueError("catalyst state is not Hermitian")
+        if not (abs(tr.real - 1.0) <= TRACE_TOL and abs(tr.imag) <= TRACE_TOL):
+            raise ValueError("catalyst state must have unit trace")
+        if not low >= -DENSITY_TOL:
+            raise ValueError(f"catalyst state is not positive semidefinite ({low:.3e})")
+        if not u_defect <= UNITARY_TOL:
+            raise ValueError(f"stroke unitary is not unitary (defect {u_defect:.3e})")
+        if not gap <= HEAT_MATCH_TOL:
+            raise CoherenceCheckError(f"decohered engine heats differ by {gap:.3e}")
+        if residual <= CYCLICITY_MATCH_TOL and not residual_r <= CYCLICITY_MATCH_TOL:
+            raise CoherenceCheckError(f"cyclicity did not transfer: residual {residual_r:.3e}")
+        results.append(((hot, cold), (hot_r, cold_r), gap, residual))
+    return results
 
 
 def decohere_catalyst_construction(
@@ -250,17 +231,17 @@ def decohere_catalyst_construction(
     catalyst factor.  Returns ((Q_h, Q_c), (rotated Q_h, rotated Q_c)) and
     raises CoherenceCheckError if they disagree beyond 1e-10, or if the
     original stroke preserved the catalyst but the rotated one does not.
+    Raises ValueError, before any arithmetic, when either matrix is not
+    square or holds a NaN or infinite entry.
     """
     rho = _square(rho_catalyst, "catalyst state")
     unitary = _square(unitary, "stroke unitary")
     if unitary.shape[0] != rho.shape[0] * hamiltonian_hot.dimension * hamiltonian_cold.dimension:
         raise ValueError("unitary does not match the working-body dimension")
-    (outcome,) = _decohere_stack(
+    ((original, rotated, _, _),) = _decohere_stack(
         rho[None], unitary[None], [(hamiltonian_hot, hamiltonian_cold, beta)]
     )
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome[:2]
+    return original, rotated
 
 
 def _haar_unitaries(parts: np.ndarray) -> np.ndarray:
@@ -458,10 +439,11 @@ def _trial_chunks(catalyst_dims):
 
 
 def _run_trials(catalyst_dims: list[int], rng: np.random.Generator) -> list[tuple[float, float]]:
-    """(heat mismatch, catalyst-marginal residual) of each trial of one chunk.
+    """(heat mismatch, catalyst-marginal residual) of each trial of one chunk,
+    stack by stack.
 
-    The trials draw in trial order, and the first trial that fails raises
-    its error, as if the trials had run one after the other.
+    The trials draw in trial order; a failure raises from the first stack it
+    is found in.
     """
     engines, draws = [], []
     for catalyst_dim in catalyst_dims:
@@ -471,17 +453,11 @@ def _run_trials(catalyst_dims: list[int], rng: np.random.Generator) -> list[tupl
         beta = InverseTemperaturePair(beta_h, beta_h + float(rng.uniform(0.2, 2.0)))
         engines.append((hot, cold, beta))
         draws.append(_draw_engine(catalyst_dim, hot, cold, beta, rng))
-    outcomes: list = [None] * len(draws)
-    for members, rho, stroke in _build_engines(draws):
-        group = _decohere_stack(rho, stroke, [engines[i] for i in members])
-        for i, outcome in zip(members, group):
-            outcomes[i] = outcome
-    results = []
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        results.append(outcome[2:])
-    return results
+    return [
+        result[2:]
+        for members, rho, stroke in _build_engines(draws)
+        for result in _decohere_stack(rho, stroke, [engines[i] for i in members])
+    ]
 
 
 def run_coherence_suite(

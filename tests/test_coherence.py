@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import twostroke as ts
 from twostroke import coherence
@@ -28,31 +31,6 @@ def full_initial_state(rho, hot, cold, beta):
 
 
 class TestDephase:
-    def test_diagonal_unchanged(self):
-        rho = np.diag([0.25, 0.75]).astype(complex)
-        out = ts.dephase(rho, ts.Spectrum.qubit(1.0))
-        assert np.array_equal(out, rho)
-
-    def test_plus_state(self):
-        plus = 0.5 * np.ones((2, 2), dtype=complex)
-        out = ts.dephase(plus, ts.Spectrum.qubit(1.0))
-        assert np.allclose(out, np.diag([0.5, 0.5]))
-
-    def test_trace_preserved(self, rng):
-        rho = coherence.random_density(4, rng)
-        out = ts.dephase(rho, ts.Spectrum((0.0, 0.3, 0.7, 1.2)))
-        assert np.trace(out) == pytest.approx(np.trace(rho), abs=1e-14)
-
-    def test_mismatched_state_refused(self):
-        with pytest.raises(ValueError, match="does not match the spectrum"):
-            ts.dephase(np.eye(3, dtype=complex) / 3, ts.Spectrum.qubit(1.0))
-
-    def test_degenerate_block_kept(self):
-        rho = coherence.random_density(3, np.random.default_rng(3))
-        out = ts.dephase(rho, ts.Spectrum((0.0, 1.0, 1.0)))
-        assert out[1, 2] == rho[1, 2]
-        assert out[0, 1] == 0.0
-
     def test_work_blind_to_offdiagonals(self, rng):
         # the stroke work of a diagonal initial state only sees the diagonal
         # of the final state
@@ -69,7 +47,7 @@ class TestDephase:
         final = stroke @ initial @ stroke.conj().T
         energies = total.energies()
         work_full = float(np.real(np.trace(energies[:, None] * (initial - final) @ np.eye(4))))
-        dephased = ts.dephase(final, total)
+        dephased = np.diag(np.diag(final))
         work_dephased = float(energies @ np.real(np.diag(initial - dephased)))
         assert work_full == pytest.approx(work_dephased, abs=1e-12)
 
@@ -399,22 +377,41 @@ class TestSuite:
         with pytest.raises(ValueError, match="trials >= 0 and catalyst dimensions >= 1"):
             ts.run_coherence_suite(trials, 0, catalyst_dims)
 
-    def test_first_failing_trial_raises(self, monkeypatch):
-        # trials 0 and 2 have d = 2, trials 1 and 3 d = 3; the d = 2 stack is
-        # decohered first, yet trial 1 failed first when trials ran one by one
-        decohere = coherence._decohere_stack
+    def test_first_failing_stack_raises(self, monkeypatch):
+        # trials 0 and 2 have d = 2, trials 1 and 3 d = 3; every decohered
+        # pass fails, and the d = 2 stack, decohered first, raises before the
+        # d = 3 stack is evaluated
+        calls = []
+        evaluate = coherence._evaluate_strokes
 
-        def failing(rho, unitary, engines):
-            outcomes = decohere(rho, unitary, engines)
-            d = rho.shape[1]
-            return [
-                outcome if (d, k) == (2, 0) else ts.CoherenceCheckError(f"d = {d}, #{k}")
-                for k, outcome in enumerate(outcomes)
-            ]
+        def failing(rho, unitary, baths):
+            calls.append(rho.shape[-1])
+            hot, cold, residual = evaluate(rho, unitary, baths)
+            return (hot + 1.0 if len(calls) % 2 == 0 else hot), cold, residual
 
-        monkeypatch.setattr(coherence, "_decohere_stack", failing)
-        with pytest.raises(ts.CoherenceCheckError, match="^d = 3, #0$"):
+        monkeypatch.setattr(coherence, "_evaluate_strokes", failing)
+        message = "^decohered engine heats differ by 1.000e"
+        with pytest.raises(ts.CoherenceCheckError, match=message):
             ts.run_coherence_suite(4, 0)
+        assert calls == [2, 2]
+
+    @pytest.mark.parametrize("nan_hot, nan_cold", [(True, False), (False, True), (True, True)])
+    def test_nan_decohered_heat_fails(self, monkeypatch, nan_hot, nan_cold):
+        # a NaN compares false with every tolerance, and max(0.0, nan) is 0.0
+        calls = []
+        evaluate = coherence._evaluate_strokes
+
+        def nan_heats(rho, unitary, baths):
+            calls.append(rho.shape[-1])
+            hot, cold, residual = evaluate(rho, unitary, baths)
+            if len(calls) % 2 == 0:
+                hot = np.where(nan_hot, np.nan, hot)
+                cold = np.where(nan_cold, np.nan, cold)
+            return hot, cold, residual
+
+        monkeypatch.setattr(coherence, "_evaluate_strokes", nan_heats)
+        with pytest.raises(ts.CoherenceCheckError, match="^decohered engine heats differ by nan$"):
+            ts.run_coherence_suite(3, 1)
 
     def test_zero_trials(self):
         assert ts.run_coherence_suite(0, 0, ()) == coherence.CoherenceSuiteResult(0, 0.0, 0.0)
@@ -524,3 +521,47 @@ def test_decohere_shape_refusals(rho, unitary, message):
             rho, unitary, ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5), beta
         )
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "which, message", [(0, "catalyst state must be finite"), (1, "stroke unitary must be finite")]
+)
+def test_decohere_non_finite_refusals(which, message, bad):
+    matrices = [np.eye(2, dtype=complex) / 2, np.eye(8, dtype=complex)]
+    matrices[which][0, 1] = bad
+    beta = ts.InverseTemperaturePair(1.0, 2.0)
+    with pytest.raises(ValueError) as info:
+        ts.decohere_catalyst_construction(
+            *matrices, ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5), beta
+        )
+    assert str(info.value) == message
+
+
+@st.composite
+def bounded_engines(draw):
+    """Finite complex (rho_s, U) of matching shape, entries bounded by 10; about
+    half are turned into a density matrix and a unitary, so some pass every check."""
+    d = draw(st.integers(1, 3))
+    entries = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+    rho = draw(arrays(complex, (d, d), elements=entries))
+    unitary = draw(arrays(complex, (4 * d, 4 * d), elements=entries))
+    if draw(st.booleans()):
+        weight = np.vdot(rho, rho).real
+        if weight > 1e-6:
+            rho = rho @ rho.conj().T / weight
+        unitary = np.linalg.qr(unitary)[0]
+    return rho, unitary
+
+
+@given(bounded_engines())
+def test_decohere_bounded_input_is_refused_or_finite(engine):
+    beta = ts.InverseTemperaturePair(1.0, 2.0)
+    try:
+        heats = ts.decohere_catalyst_construction(
+            *engine, ts.Spectrum.qubit(1.0), ts.Spectrum.qubit(0.5), beta
+        )
+    except (ValueError, ts.CoherenceCheckError):
+        return
+    values = [q for pair in heats for q in pair]
+    assert len(values) == 4 and all(isinstance(q, float) and np.isfinite(q) for q in values)

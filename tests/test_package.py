@@ -84,3 +84,19 @@ def test_every_import_is_used():
             ):
                 used.update(ast.literal_eval(node.value))
         assert sorted(imported - used) == [], path.name
+
+
+def test_exceptions_are_built_where_they_are_raised():
+    # an error kept as a value is a second way for a failure to travel; every
+    # construction of an error class is the argument of its raise
+    for path in Path(ts.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        raised = {id(node.exc) for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+        kept = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith(("Error", "Exception"))
+            and id(node) not in raised
+        ]
+        assert kept == [], path.name
